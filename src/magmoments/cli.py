@@ -12,26 +12,19 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import datagen, experiments, hull_filter
 from .errors import InvalidSpec, MagnitudeError
+from .experiments import _atomic_write
 from .geometry import PointCloud
 from .hull_exact import convex_hull, to_off
 from .magnitude import magnitude_function, weights_at_scale
 from .moments import gauss_laguerre_rule, zeroth_moments
 
 FLOAT_FMT = "%.17g"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_or_print(path, text: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import DUPLICATE_TOL, PointCloud
+from .geometry import DUPLICATE_TOL, PointCloud, pairwise_distances
 
 KINDS = ("annulus", "square", "noisy-moons", "gaussian-blobs")
 
@@ -110,16 +110,15 @@ def generate(spec: DatasetSpec) -> PointCloud:
     rng = np.random.default_rng(spec.seed)
     pts = _sample(rng, spec, spec.count)
     for _ in range(100):
-        dup = _duplicate_rows(pts)
+        cloud = PointCloud(pts)
+        dup = _duplicate_rows(cloud)
         if not dup:
-            return PointCloud(pts)
+            return cloud
         pts[list(dup)] = _sample(rng, spec, len(dup))
     raise InvalidSpec("could not generate duplicate-free points")
 
 
-def _duplicate_rows(pts: np.ndarray) -> set:
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.fill_diagonal(d2, np.inf)
-    ii, jj = np.where(d2 < DUPLICATE_TOL**2)
+def _duplicate_rows(cloud: PointCloud) -> set:
+    """Later index of every pair closer than DUPLICATE_TOL."""
+    ii, jj = np.where(pairwise_distances(cloud) < DUPLICATE_TOL)
     return {int(j) for i, j in zip(ii, jj) if j > i}

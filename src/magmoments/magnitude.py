@@ -7,9 +7,7 @@ factorization, never an explicit inverse.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +42,20 @@ class WeightVector:
         return self.weights.shape[0]
 
 
+def _check_pivot(pivot_sq: float) -> None:
+    """Raise FactorizationFailure for a squared pivot below PIVOT_FLOOR."""
+    if not pivot_sq >= PIVOT_FLOOR:
+        raise FactorizationFailure(
+            f"Cholesky pivot {pivot_sq:.3e} below floor {PIVOT_FLOOR:g}"
+        )
+
+
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     try:
         lower = scipy.linalg.cholesky(matrix, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
-    pivots = np.diag(lower)
-    if pivots.min() ** 2 < PIVOT_FLOOR:
-        raise FactorizationFailure(
-            f"Cholesky pivot {pivots.min()**2:.3e} below floor {PIVOT_FLOOR:g}"
-        )
+    _check_pivot(np.diag(lower).min() ** 2)
     return lower
 
 
@@ -81,27 +83,13 @@ def solve_weights(sim: SimilarityMatrix) -> WeightVector:
     return WeightVector(w, sim.scale, float(w.sum()))
 
 
-# Per-(cloud, t) result cache so quadratures that repeat scales reuse solves.
-_CACHE_MAX = 256
-_weight_cache: OrderedDict = OrderedDict()
-
-
-def _cloud_key(cloud: PointCloud) -> bytes:
-    return hashlib.sha1(cloud.points.tobytes()).digest()
-
-
 def weights_at_scale(cloud: PointCloud, t: float) -> WeightVector:
-    """solve_weights(build_similarity(cloud, t)) with a small LRU cache."""
-    key = (_cloud_key(cloud), float(t))
-    hit = _weight_cache.get(key)
-    if hit is not None:
-        _weight_cache.move_to_end(key)
-        return hit
-    result = solve_weights(build_similarity(cloud, t))
-    _weight_cache[key] = result
-    if len(_weight_cache) > _CACHE_MAX:
-        _weight_cache.popitem(last=False)
-    return result
+    """solve_weights(build_similarity(cloud, t)); every call solves afresh.
+
+    The distances behind the similarity matrix are the cloud's own,
+    computed once per cloud.
+    """
+    return solve_weights(build_similarity(cloud, t))
 
 
 def magnitude_function(cloud: PointCloud, scales) -> list[tuple[float, float]]:

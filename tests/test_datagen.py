@@ -60,10 +60,9 @@ def test_square_inside_side():
 def test_points_are_distinct():
     cloud = generate(DatasetSpec("gaussian-blobs", 1000, 2, seed=17))
     assert cloud.size == 1000
-    # generate() resamples collisions; the cloud must be duplicate-free
-    from magmoments.geometry import check_distinct
-
-    check_distinct(cloud)
+    # generate() resamples collisions; the cloud must be duplicate-free,
+    # or reading its distance matrix raises DuplicatePoints
+    assert cloud.distances.shape == (1000, 1000)
 
 
 def test_invalid_specs():

@@ -92,6 +92,16 @@ def test_duplicate_points_rejected():
         build_similarity(PointCloud(pts), 1.0)
 
 
+def test_cloud_owns_a_copy_of_its_points():
+    base = np.arange(12.0).reshape(6, 2)
+    original = base[:4].copy()
+    cloud = PointCloud(base[:4])
+    base[0, 0] = 99.0
+    assert np.array_equal(cloud.points, original)
+    assert np.array_equal(cloud.distances, oracles.double_loop_distances(original))
+    assert not cloud.distances.flags.writeable
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NonFinite):
         PointCloud(np.array([[0.0, np.nan]]))

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from magmoments import (
+    DuplicatePoints,
+    MomentVector,
     PointCloud,
     gauss_laguerre_rule,
     higher_moments,
     laplace_moment,
     log_trapezoid_rule,
     magnitude_moment,
+    moment_prefix_curve,
     zeroth_moments,
 )
 from magmoments.datagen import DatasetSpec, generate
@@ -102,6 +105,25 @@ def test_permutation_invariance():
     mu = zeroth_moments(PointCloud(pts), estimate_error=False).mu0
     mu_perm = zeroth_moments(PointCloud(pts[perm]), estimate_error=False).mu0
     assert np.abs(mu[perm] - mu_perm).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        zeroth_moments,
+        magnitude_moment,
+        lambda c: moment_prefix_curve(
+            c, MomentVector(np.arange(4.0), gauss_laguerre_rule(), np.nan)
+        ),
+    ],
+    ids=["zeroth_moments", "magnitude_moment", "moment_prefix_curve"],
+)
+def test_duplicates_raise_even_when_every_node_underflows(evaluate):
+    # The diameter puts every quadrature node past the underflow guard,
+    # so no node solves; the duplicate pair must still be rejected.
+    cloud = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1e6, 0.0], [0.0, 1e6]]))
+    with pytest.raises(DuplicatePoints):
+        evaluate(cloud)
 
 
 def test_error_estimate_bounds_order_doubling():
