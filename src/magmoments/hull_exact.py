@@ -124,13 +124,17 @@ def hull_volume(hull: HullResult) -> float:
     return total
 
 
+def containment_slack(points: np.ndarray) -> float:
+    """GEOM_TOL scaled by the coordinate spread of the points (at least 1)."""
+    return GEOM_TOL * max(points.max() - points.min(), 1.0)
+
+
 def contains(hull: HullResult, point: np.ndarray, tol: float | None = None) -> bool:
     """True if the point lies inside or on the hull within tolerance."""
     if hull.degenerate:
         return False
     if tol is None:
-        spread = hull.points.max() - hull.points.min()
-        tol = GEOM_TOL * max(spread, 1.0)
+        tol = containment_slack(hull.points)
     return all(f.normal @ point <= f.offset + tol for f in hull.facets)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
-from .hull_exact import Facet, HullResult, affine_rank, convex_hull
-from .magnitude import _check_pivot, weights_at_scale
+from .hull_exact import Facet, HullResult, affine_rank, containment_slack, convex_hull
+from .magnitude import _cholesky_lower, weights_at_scale
 from .moments import MomentVector, QuadratureRule, zeroth_moments
 
 CONVENTIONS = ("derived", "paper")
@@ -60,7 +60,7 @@ def filter_by_moment(
     Removal never goes below d+1 kept points so the returned set can
     still carry a full-dimensional hull.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # also rejects NaN
         raise ValueError("epsilon must be nonnegative")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown threshold convention {convention!r}")
@@ -154,14 +154,17 @@ def moment_prefix_curve(
 ) -> list[tuple[int, float, float]]:
     """(i, Vol(Conv(X_<=i)), |X_<=i|) for prefixes in descending moment order.
 
+    Magnitudes: the Cholesky factor of a leading block of the permuted
+    similarity matrix is the leading block of the full factor L, so with
+    y = L^{-1} 1 every prefix magnitude is a partial sum of y^2. The whole
+    column costs one Cholesky (about N^3 / 3 flops) and one triangular
+    solve; a pivot below PIVOT_FLOOR raises FactorizationFailure.
+
     Volumes are zero until the prefix spans d affinely independent
-    directions, then maintained incrementally through Qhull. Magnitudes
-    are maintained through a growing Cholesky factor: appending point i
-    costs about i^2 flops, so the whole curve costs about N^3 / 3 beyond
-    the hull work, as much as one dense Cholesky of the cloud. The factor
-    overwrites the lower triangle of the permuted similarity matrix row by
-    row, each row read just before it is replaced. A pivot below
-    PIVOT_FLOOR raises FactorizationFailure.
+    directions, then kept by an incremental Qhull. The hull only grows:
+    after each change one product tests the remaining points against its
+    facets, and only the next point not strictly inside (containment_slack)
+    goes to Qhull; prefixes in between keep the current volume.
     """
     from scipy.linalg import solve_triangular
     from scipy.spatial import ConvexHull, QhullError
@@ -170,41 +173,37 @@ def moment_prefix_curve(
     d = cloud.dim
     order = _ascending_order(moments.mu0)[::-1]
     pts = cloud.points[order]
-    lower = cloud.distances[np.ix_(order, order)]
-    np.negative(lower, out=lower)
-    np.exp(lower, out=lower)  # similarity; its lower triangle becomes L
+    sim = cloud.distances[np.ix_(order, order)]
+    np.negative(sim, out=sim)
+    np.exp(sim, out=sim)
+    lower = _cholesky_lower(sim)
+    y = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
+    del sim, lower  # two N x N arrays the hull pass does not need
+    magnitudes = np.cumsum(y * y)
 
-    curve = []
-    y = np.zeros(n)  # y = L^{-1} 1 on the current prefix
-    magnitude = 0.0
+    volumes = np.zeros(n)
     qh = None
-    volume = 0.0
-    for i in range(n):
-        if i == 0:
-            c = np.zeros(0)
-        else:
-            c = solve_triangular(
-                lower[:i, :i], lower[i, :i], lower=True, check_finite=False
-            )
-        pivot_sq = 1.0 - c @ c
-        _check_pivot(pivot_sq)
-        pivot = math.sqrt(pivot_sq)
-        lower[i, :i] = c
-        lower[i, i] = pivot
-        y[i] = (1.0 - c @ y[:i]) / pivot
-        magnitude += y[i] ** 2
-
-        size = i + 1
-        if qh is None and size >= d + 1 and affine_rank(pts[:size]) == d:
+    for size in range(d + 1, n + 1):
+        if affine_rank(pts[:size]) == d:
             try:
                 qh = ConvexHull(pts[:size], incremental=True)
-                volume = qh.volume
+                break
             except QhullError:
-                qh = None
-        elif qh is not None:
-            qh.add_points(pts[i : i + 1])
-            volume = qh.volume
-        curve.append((size, float(volume), float(magnitude)))
+                pass
     if qh is not None:
-        qh.close()
-    return curve
+        slack = containment_slack(cloud.points)
+        rest = np.arange(size, n)  # points that may still leave the hull
+        try:
+            while True:
+                volumes[size - 1 :] = qh.volume
+                eq = qh.equations  # inside: eq[:, :d] . p + eq[:, d] <= 0
+                height = pts[rest] @ eq[:, :d].T + eq[:, d]
+                rest = rest[height.max(axis=1) >= -slack]
+                if rest.size == 0:
+                    break
+                size = rest[0] + 1
+                qh.add_points(pts[rest[0] : size])
+                rest = rest[1:]
+        finally:
+            qh.close()
+    return list(zip(range(1, n + 1), volumes.tolist(), magnitudes.tolist()))

@@ -42,20 +42,17 @@ class WeightVector:
         return self.weights.shape[0]
 
 
-def _check_pivot(pivot_sq: float) -> None:
-    """Raise FactorizationFailure for a squared pivot below PIVOT_FLOOR."""
-    if not pivot_sq >= PIVOT_FLOOR:
-        raise FactorizationFailure(
-            f"Cholesky pivot {pivot_sq:.3e} below floor {PIVOT_FLOOR:g}"
-        )
-
-
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; a squared pivot below PIVOT_FLOOR raises."""
     try:
         lower = scipy.linalg.cholesky(matrix, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
-    _check_pivot(np.diag(lower).min() ** 2)
+    pivot_sq = np.diag(lower).min() ** 2
+    if not pivot_sq >= PIVOT_FLOOR:
+        raise FactorizationFailure(
+            f"Cholesky pivot {pivot_sq:.3e} below floor {PIVOT_FLOOR:g}"
+        )
     return lower
 
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import ConvexHull
 
 
 def double_loop_distances(pts: np.ndarray) -> np.ndarray:
@@ -142,3 +143,23 @@ def sides_sorted_indices(pts: np.ndarray):
             best = (i1, i2, i3)
             break
     return best
+
+
+def prefix_curve_bruteforce(points_in_order: np.ndarray):
+    """(i, volume, magnitude) for every prefix, each from scratch.
+
+    The volume is a fresh Qhull hull of the prefix, or 0 while the prefix
+    is not full rank; the magnitude is a dense solve on the prefix's
+    similarity matrix at t=1.
+    """
+    pts = np.asarray(points_in_order, dtype=float)
+    n, d = pts.shape
+    zeta = np.exp(-double_loop_distances(pts))
+    curve = []
+    for i in range(1, n + 1):
+        prefix = pts[:i]
+        full_rank = i > d and np.linalg.matrix_rank(prefix[1:] - prefix[0]) == d
+        volume = ConvexHull(prefix).volume if full_rank else 0.0
+        magnitude = np.linalg.solve(zeta[:i, :i], np.ones(i)).sum()
+        curve.append((i, float(volume), float(magnitude)))
+    return curve

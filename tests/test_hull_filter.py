@@ -15,7 +15,11 @@ from magmoments import (
     solve_weights,
     zeroth_moments,
 )
+from magmoments import magnitude
 from magmoments.datagen import DatasetSpec, generate
+from magmoments.errors import FactorizationFailure
+from magmoments.moments import MomentVector, gauss_laguerre_rule
+from oracles import prefix_curve_bruteforce
 
 
 def _blob_cloud(n=200, dim=2, seed=51):
@@ -98,6 +102,12 @@ def test_unknown_convention_rejected():
         filter_by_moment(cloud, _moments(cloud), -1.0)
 
 
+def test_nan_epsilon_rejected():
+    cloud = _blob_cloud(n=10)
+    with pytest.raises(ValueError):
+        filter_by_moment(cloud, _moments(cloud), float("nan"))
+
+
 def test_triangle_plus_centroid():
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0 / 3, 4.0 / 3]])
     cloud = PointCloud(pts)
@@ -166,3 +176,76 @@ def test_prefix_curve_endpoints_and_monotonicity():
     mags = [m for _, _, m in curve]
     assert all(a <= b + 1e-9 for a, b in zip(vols, vols[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(mags, mags[1:]))
+
+
+def _own_order(cloud):
+    return cloud, _moments(cloud)
+
+
+def _in_given_order(pts):
+    """A cloud whose moments put its points in descending order as given."""
+    mu0 = np.arange(len(pts), 0, -1, dtype=float)
+    return PointCloud(pts), MomentVector(mu0, gauss_laguerre_rule(), np.nan)
+
+
+def _grid(side, dim):
+    axes = [np.arange(float(side))] * dim
+    return PointCloud(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim))
+
+
+def _collinear_start():
+    line = np.outer(np.arange(1.0, 7.0), [1.0, 0.5, -0.25])
+    rest = np.random.default_rng(52).uniform(-4.0, 4.0, (30, 3))
+    return _in_given_order(np.vstack([line, rest]))
+
+
+def _shuffled_grid():
+    pts = np.random.default_rng(56).permutation(_grid(8, 2).points)
+    return _in_given_order(pts)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _own_order(_blob_cloud(40, 2, 53)), id="blob-d2"),
+        pytest.param(lambda: _own_order(_blob_cloud(40, 3, 54)), id="blob-d3"),
+        pytest.param(lambda: _own_order(_blob_cloud(40, 4, 55)), id="blob-d4"),
+        pytest.param(_collinear_start, id="collinear-start"),
+        # Grids in their own moment order: corners first, then many points
+        # on the hull's facets.
+        pytest.param(lambda: _own_order(_grid(8, 2)), id="grid-8x8"),
+        pytest.param(lambda: _own_order(_grid(5, 3)), id="grid-5x5x5"),
+        pytest.param(lambda: _own_order(_grid(4, 4)), id="grid-4x4x4x4"),
+        pytest.param(
+            _shuffled_grid,
+            id="grid-8x8-shuffled",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="scipy's incremental ConvexHull always triangulates (Qt): "
+                "after Qhull merges collinear points, later adds give wrong volumes",
+            ),
+        ),
+    ],
+)
+def test_prefix_curve_matches_bruteforce(case):
+    cloud, mv = case()
+    order = np.argsort(mv.mu0, kind="stable")[::-1]
+    want = prefix_curve_bruteforce(cloud.points[order])
+    got = moment_prefix_curve(cloud, mv)
+    assert [i for i, _, _ in got] == [i for i, _, _ in want]
+    for (_, vol, mag), (_, want_vol, want_mag) in zip(got, want):
+        assert vol == pytest.approx(want_vol, rel=1e-12, abs=0.0)
+        assert mag == pytest.approx(want_mag, rel=1e-12)
+
+
+def test_prefix_curve_pivot_floor_raises(monkeypatch):
+    cloud = _blob_cloud(n=60, dim=3, seed=58)
+    mv = _moments(cloud)
+    order = np.argsort(mv.mu0, kind="stable")[::-1]
+    zeta = np.exp(-cloud.distances[np.ix_(order, order)])
+    smallest = (np.diag(np.linalg.cholesky(zeta)) ** 2).min()
+    monkeypatch.setattr(magnitude, "PIVOT_FLOOR", 0.5 * smallest)
+    moment_prefix_curve(cloud, mv)
+    monkeypatch.setattr(magnitude, "PIVOT_FLOOR", 2.0 * smallest)
+    with pytest.raises(FactorizationFailure):
+        moment_prefix_curve(cloud, mv)
