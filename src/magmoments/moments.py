@@ -23,9 +23,11 @@ from .errors import FactorizationFailure, QuadratureDivergence
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
 from .magnitude import weights_at_scale
 
-#: Nodes with t * diameter beyond this would underflow exp(-t*d); the
-#: weight vector there is 1 to machine precision, so it is substituted
-#: analytically instead of solving an ill-scaled system.
+#: A node t_k is skipped, with w = 1 substituted, when t_k * diameter is
+#: beyond this (exp(-t * diameter) underflows) and the rule's remaining
+#: weight sum_{j >= k} omega_j is below machine epsilon. w need not be near 1
+#: there (points much closer together than the diameter keep weights well
+#: below 1); the tail bound is what makes the skipped nodes negligible.
 UNDERFLOW_EXPONENT = 700.0
 
 DEFAULT_ORDER = 64
@@ -102,12 +104,14 @@ class MomentVector:
         object.__setattr__(self, "mu0", mu0)
 
 
-def _node_weights(cloud: PointCloud, nodes: np.ndarray, threads: int) -> np.ndarray:
+def _node_weights(cloud: PointCloud, rule: QuadratureRule, threads: int) -> np.ndarray:
     """w_{t_k}(x_i) as an (order, N) array, with the underflow guard."""
     diameter = cloud.diameter()  # also the duplicate check, before any skip
+    tail = np.cumsum(rule.weights[::-1])[::-1]
+    skip = (rule.nodes * diameter > UNDERFLOW_EXPONENT) & (tail < np.finfo(float).eps)
 
-    def one(t: float) -> np.ndarray:
-        if t * diameter > UNDERFLOW_EXPONENT or cloud.size == 1:
+    def one(t: float, skipped: bool) -> np.ndarray:
+        if skipped or cloud.size == 1:
             return np.ones(cloud.size)
         try:
             return weights_at_scale(cloud, t).weights
@@ -116,9 +120,9 @@ def _node_weights(cloud: PointCloud, nodes: np.ndarray, threads: int) -> np.ndar
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, nodes))
+            rows = list(pool.map(one, rule.nodes, skip))
     else:
-        rows = [one(t) for t in nodes]
+        rows = list(map(one, rule.nodes, skip))
     # Stacking in node order keeps the reduction deterministic regardless
     # of completion order.
     return np.vstack(rows)
@@ -128,7 +132,7 @@ def _moment_sum(
     cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray, threads: int
 ) -> np.ndarray:
     """sum_k omega_k factor_k w_{t_k}(x_i)^2 for every point x_i."""
-    return (rule.weights * factor) @ _node_weights(cloud, rule.nodes, threads) ** 2
+    return (rule.weights * factor) @ _node_weights(cloud, rule, threads) ** 2
 
 
 def zeroth_moments(
@@ -193,5 +197,5 @@ def magnitude_moment(
     """Integral of e^{-t} |tX| dt, discretized over the rule's nodes."""
     if rule is None:
         rule = gauss_laguerre_rule()
-    rows = _node_weights(cloud, rule.nodes, threads)
+    rows = _node_weights(cloud, rule, threads)
     return float(rule.weights @ rows.sum(axis=1))

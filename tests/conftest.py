@@ -2,7 +2,25 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Sizes of the matrices that magnitude._cholesky_lower factors."""
+    from magmoments import magnitude
+
+    calls = []
+    real = magnitude._cholesky_lower
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(magnitude, "_cholesky_lower", counted)
+    return calls
 
 # Acceptance tests are named test_criterion_<NN>[suffix]_<slug>; the hook
 # below folds their outcomes into one PASS/FAIL line per criterion.

@@ -52,6 +52,14 @@ def dense_weights(pts: np.ndarray, t: float = 1.0):
     return w, float(w.sum())
 
 
+def dense_zeroth_moments(pts: np.ndarray, nodes, weights) -> np.ndarray:
+    """sum_k omega_k w_{t_k}^2 with every node solved densely, none skipped."""
+    dist = double_loop_distances(pts)
+    ones = np.ones(len(pts))
+    rows = [np.linalg.solve(np.exp(-t * dist), ones) for t in nodes]
+    return np.asarray(weights) @ np.square(rows)
+
+
 def dense_schur(pts: np.ndarray, removed, t: float = 1.0) -> np.ndarray:
     """Schur complement via B_P^{-1} where B is the full dense inverse."""
     dist = double_loop_distances(pts)

@@ -177,6 +177,7 @@ def _assert_strictly_increasing(values):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.slow
 def test_criterion_07_table1_paper_scale(tmp_path):
     """Table 1 statistics: published means inside our 3-sigma band."""
     cfg = ExperimentConfig()  # dims 2-5, 20 trials, 1000 points

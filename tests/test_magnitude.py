@@ -13,6 +13,7 @@ from magmoments import (
     solve_weights,
     weights_at_scale,
 )
+from magmoments import magnitude
 from magmoments.datagen import DatasetSpec, generate
 from magmoments.magnitude import RESIDUAL_BUDGET
 
@@ -106,6 +107,47 @@ def test_residual_bound_on_generated_clouds(kind, dim, t):
     wv = solve_weights(sim)
     residual = np.abs(sim.entries @ wv.weights - 1.0).max()
     assert residual <= RESIDUAL_BUDGET * cloud.size
+
+
+def _off_diagonal_rho(sim):
+    return (sim.entries.sum(axis=1) - 1.0).max()
+
+
+def _scale_with_rho(cloud, target):
+    """Bisect log t for the scale whose largest off-diagonal row sum is target."""
+    lo, hi = -5.0, 5.0  # rho(t) falls as t grows
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _off_diagonal_rho(build_similarity(cloud, 10.0**mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0**hi
+
+
+@pytest.mark.parametrize("rho", [0.45, 0.55])
+@pytest.mark.parametrize("kind,dim", [("gaussian-blobs", 3), ("square", 2)])
+def test_solve_weights_both_sides_of_dominance_cut(cholesky_calls, kind, dim, rho):
+    cloud = generate(DatasetSpec(kind, 150, dim, seed=4))
+    sim = build_similarity(cloud, _scale_with_rho(cloud, rho))
+    dominant = _off_diagonal_rho(sim) < magnitude.DOMINANCE_CUT
+    assert dominant == (rho < magnitude.DOMINANCE_CUT)
+    wv = solve_weights(sim)
+    # Conjugate gradient answers the dominant side; Cholesky the other.
+    assert cholesky_calls == ([] if dominant else [cloud.size])
+    want = np.linalg.solve(sim.entries, np.ones(cloud.size))
+    assert np.abs(wv.weights - want).max() <= 1e-13 * np.abs(want).max()
+    assert wv.magnitude == pytest.approx(want.sum(), rel=1e-13)
+
+
+def test_stalled_conjugate_gradient_falls_back_to_cholesky(monkeypatch, cholesky_calls):
+    cloud = generate(DatasetSpec("gaussian-blobs", 150, 3, seed=4))
+    sim = build_similarity(cloud, _scale_with_rho(cloud, 0.3))
+    monkeypatch.setattr(magnitude, "CG_MAX_ITER", 1)
+    wv = solve_weights(sim)
+    assert cholesky_calls == [cloud.size]
+    want = np.linalg.solve(sim.entries, np.ones(cloud.size))
+    assert np.abs(wv.weights - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_quadratic_form_identity():

@@ -13,6 +13,7 @@ from magmoments import (
     moment_prefix_curve,
     zeroth_moments,
 )
+from magmoments import magnitude
 from magmoments.datagen import DatasetSpec, generate
 
 import oracles
@@ -119,11 +120,63 @@ def test_permutation_invariance():
     ids=["zeroth_moments", "magnitude_moment", "moment_prefix_curve"],
 )
 def test_duplicates_raise_even_when_every_node_underflows(evaluate):
-    # The diameter puts every quadrature node past the underflow guard,
-    # so no node solves; the duplicate pair must still be rejected.
+    # The diameter puts every quadrature node past t * diameter > 700, and
+    # the nodes whose tail weight is negligible are skipped; the duplicate
+    # pair must be rejected before any node is solved or skipped.
     cloud = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1e6, 0.0], [0.0, 1e6]]))
     with pytest.raises(DuplicatePoints):
         evaluate(cloud)
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        PointCloud(np.array([[0.0, 0.0], [1e-3, 0.0], [1e6, 0.0]])),
+        generate(
+            DatasetSpec("gaussian-blobs", 300, 2, seed=1)
+        ).scale_coordinates(20.0),
+    ],
+    ids=["near-pair-and-outlier", "blob-x20"],
+)
+def test_underflow_guard_skips_only_negligible_nodes(cloud):
+    # One far point puts t * diameter past the underflow exponent at nodes
+    # where the close points' weights are far from 1; those nodes count.
+    rule = gauss_laguerre_rule()
+    mu0 = zeroth_moments(cloud, rule, estimate_error=False).mu0
+    want = oracles.dense_zeroth_moments(cloud.points, rule.nodes, rule.weights)
+    assert np.abs(mu0 / want - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_conjugate_gradient_nodes_match_cholesky(monkeypatch, cholesky_calls, dim):
+    cloud = generate(DatasetSpec("gaussian-blobs", 300, dim, seed=dim))
+    mixed = zeroth_moments(cloud, estimate_error=False).mu0
+    mixed_calls = len(cholesky_calls)
+    monkeypatch.setattr(magnitude, "DOMINANCE_CUT", 0.0)  # Cholesky everywhere
+    chol = zeroth_moments(cloud, estimate_error=False).mu0
+    if dim >= 3:
+        assert mixed_calls < len(cholesky_calls) - mixed_calls
+    assert np.abs(mixed / chol - 1.0).max() <= 1e-13
+    assert np.array_equal(
+        np.argsort(mixed, kind="stable"), np.argsort(chol, kind="stable")
+    )
+
+
+def test_threads_match_sequential_with_conjugate_gradient_nodes(monkeypatch):
+    cloud = generate(DatasetSpec("gaussian-blobs", 300, 4, seed=36))
+    answered = []
+    real = magnitude._conjugate_gradient
+
+    def counted(a, ones):
+        w = real(a, ones)
+        answered.append(w is not None)
+        return w
+
+    monkeypatch.setattr(magnitude, "_conjugate_gradient", counted)
+    seq = zeroth_moments(cloud, estimate_error=False)
+    assert any(answered) and not all(answered)  # both solver routes ran
+    par = zeroth_moments(cloud, threads=4, estimate_error=False)
+    assert np.array_equal(seq.mu0, par.mu0)
 
 
 def test_error_estimate_bounds_order_doubling():
