@@ -8,14 +8,22 @@ the smallest prefix size whose hull reaches the configured fraction
 
 Every trial is fully determined by (dim, trial seed): rerunning an
 identical config reproduces every record bit-exactly.
+
+Given an output directory, ``run_table1`` also stores every successful
+trial's prefix curve in ``curves.npz``, keyed by the config and the
+package version. ``run_prefix_curves`` renders from that store when the
+key matches and reruns only the trials it lacks; the output is
+byte-identical either way.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +38,21 @@ FLOAT_FMT = "%.17g"
 
 #: Cooperative per-trial wall-clock budget in seconds.
 TRIAL_BUDGET = 120.0
+
+#: Prefix-curve store that table1 writes and curves reads, in the out dir.
+CURVE_STORE = "curves.npz"
+
+#: JSON key of each ExperimentConfig field, in to_json order.
+_JSON_KEYS = {
+    "dims": "dims",
+    "trials_per_dim": "trialsPerDim",
+    "points_per_trial": "pointsPerTrial",
+    "dataset": "datasetSpec",
+    "quadrature_order": "quadratureOrder",
+    "volume_fraction": "volumeFraction",
+    "seeds": "seeds",
+    "threads": "threads",
+}
 
 
 @dataclass(frozen=True)
@@ -58,31 +81,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Config from JSON; absent keys take the defaults, unknown keys raise."""
         raw = json.loads(text)
-        return cls(
-            dims=tuple(raw.get("dims", (2, 3, 4, 5))),
-            trials_per_dim=raw.get("trialsPerDim", 20),
-            points_per_trial=raw.get("pointsPerTrial", 1000),
-            dataset=raw.get("datasetSpec", {"kind": "gaussian-blobs", "params": {}}),
-            quadrature_order=raw.get("quadratureOrder", 64),
-            volume_fraction=raw.get("volumeFraction", 0.9),
-            seeds=tuple(raw.get("seeds", ())),
-            threads=raw.get("threads", 1),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("experiment config must be a JSON object")
+        fields = {key: name for name, key in _JSON_KEYS.items()}
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown experiment config key(s): {', '.join(unknown)}")
+        return cls(**{fields[key]: value for key, value in raw.items()})
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "dims": list(self.dims),
-                "trialsPerDim": self.trials_per_dim,
-                "pointsPerTrial": self.points_per_trial,
-                "datasetSpec": self.dataset,
-                "quadratureOrder": self.quadrature_order,
-                "volumeFraction": self.volume_fraction,
-                "seeds": list(self.seeds),
-                "threads": self.threads,
-            },
-            indent=2,
+            {key: getattr(self, name) for name, key in _JSON_KEYS.items()}, indent=2
         )
 
 
@@ -117,12 +128,13 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
         cloud, rule, threads=config.threads, estimate_error=False
     )
     _check_budget(start)
-    curve = moment_prefix_curve(cloud, moments)
+    curve, vertex_count = moment_prefix_curve(cloud, moments, return_vertex_count=True)
     _check_budget(start)
     full_volume = curve[-1][1]
     target = config.volume_fraction * full_volume
     i90 = next(i for i, vol, _ in curve if vol >= target)
-    vertex_count = convex_hull(cloud).vertex_count
+    if vertex_count is None:  # no incremental hull was built
+        vertex_count = convex_hull(cloud).vertex_count
     return TrialRecord(
         dim=dim,
         seed=base_seed,
@@ -143,8 +155,9 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
     """Summary rows (dim, mean I90, std I90, mean vertices, std vertices).
 
     Failed trials are excluded from the statistics with a warning; they
-    are never silently dropped. Per-trial records go to trials.jsonl when
-    an output directory is given.
+    are never silently dropped. When an output directory is given,
+    per-trial records go to trials.jsonl and the prefix curves of the
+    successful trials to the curve store.
     """
     records: list[TrialRecord] = []
     failures: list[dict] = []
@@ -194,7 +207,42 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
         for f in failures:
             lines.append(json.dumps({"failure": f}))
         _atomic_write(os.path.join(out_dir, "trials.jsonl"), "\n".join(lines) + "\n")
+        store = io.BytesIO()
+        np.savez(
+            store,
+            key=np.array(_store_key(config)),
+            **{
+                f"dim{r.dim}_seed{r.seed}": np.array(r.prefix_curve, dtype=float)
+                for r in records
+            },
+        )
+        _atomic_write(os.path.join(out_dir, CURVE_STORE), store.getvalue())
     return rows
+
+
+def _store_key(config: ExperimentConfig) -> str:
+    from . import __version__
+
+    return config.to_json() + "\n" + __version__
+
+
+def _stored_curves(config: ExperimentConfig, out_dir) -> dict:
+    """Prefix curves from the out dir's curve store, by trial stem.
+
+    Empty when the store is missing, unreadable, or written for another
+    config or package version.
+    """
+    try:
+        with np.load(os.path.join(out_dir, CURVE_STORE)) as store:
+            if str(store["key"]) != _store_key(config):
+                return {}
+            return {
+                name: [(int(i), vol, mag) for i, vol, mag in store[name].tolist()]
+                for name in store.files
+                if name != "key"
+            }
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return {}
 
 
 def _summary_csv(rows) -> str:
@@ -209,25 +257,27 @@ def _summary_csv(rows) -> str:
 def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
     """Per-trial prefix-curve CSVs and SVG plots with the 90% marker.
 
+    Curves come from the curve store that ``run_table1`` left in out_dir
+    when its key matches; trials it lacks are run afresh.
     Returns the list of written file paths.
     """
+    stored = _stored_curves(config, out_dir)
     curves_dir = os.path.join(out_dir, "curves")
     os.makedirs(curves_dir, exist_ok=True)
     written = []
     for dim in config.dims:
         for base_seed in config.seeds:
-            record = run_trial(config, dim, base_seed)
             stem = f"dim{dim}_seed{base_seed}"
+            curve = stored.get(stem)
+            if curve is None:
+                curve = run_trial(config, dim, base_seed).prefix_curve
             csv_path = os.path.join(curves_dir, stem + ".csv")
             lines = ["i,vol,mag"]
-            for i, vol, mag in record.prefix_curve:
+            for i, vol, mag in curve:
                 lines.append(f"{i},{FLOAT_FMT % vol},{FLOAT_FMT % mag}")
             _atomic_write(csv_path, "\n".join(lines) + "\n")
             svg_path = os.path.join(curves_dir, stem + ".svg")
-            _atomic_write(
-                svg_path,
-                _curve_svg(record.prefix_curve, config.volume_fraction),
-            )
+            _atomic_write(svg_path, _curve_svg(curve, config.volume_fraction))
             written.extend([csv_path, svg_path])
     return written
 
@@ -273,8 +323,8 @@ def _curve_svg(curve, fraction, width=640, height=400, margin=40) -> str:
 """
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: str | bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
     os.replace(tmp, path)

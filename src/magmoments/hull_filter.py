@@ -150,8 +150,8 @@ def approximate_hull(
 
 
 def moment_prefix_curve(
-    cloud: PointCloud, moments: MomentVector
-) -> list[tuple[int, float, float]]:
+    cloud: PointCloud, moments: MomentVector, return_vertex_count: bool = False
+):
     """(i, Vol(Conv(X_<=i)), |X_<=i|) for prefixes in descending moment order.
 
     Magnitudes: the Cholesky factor of a leading block of the permuted
@@ -165,6 +165,10 @@ def moment_prefix_curve(
     after each change one product tests the remaining points against its
     facets, and only the next point not strictly inside (containment_slack)
     goes to Qhull; prefixes in between keep the current volume.
+
+    With ``return_vertex_count`` the result is ``(curve, count)``: count is
+    the vertex count of the last incremental hull, which spans the whole
+    cloud, or None when no prefix was full-dimensional and no hull was built.
     """
     from scipy.linalg import solve_triangular
     from scipy.spatial import ConvexHull, QhullError
@@ -182,7 +186,7 @@ def moment_prefix_curve(
     magnitudes = np.cumsum(y * y)
 
     volumes = np.zeros(n)
-    qh = None
+    qh = vertex_count = None
     for size in range(d + 1, n + 1):
         if affine_rank(pts[:size]) == d:
             try:
@@ -204,6 +208,8 @@ def moment_prefix_curve(
                 size = rest[0] + 1
                 qh.add_points(pts[rest[0] : size])
                 rest = rest[1:]
+            vertex_count = len(qh.vertices)
         finally:
             qh.close()
-    return list(zip(range(1, n + 1), volumes.tolist(), magnitudes.tolist()))
+    curve = list(zip(range(1, n + 1), volumes.tolist(), magnitudes.tolist()))
+    return (curve, vertex_count) if return_vertex_count else curve

@@ -105,6 +105,23 @@ def test_experiments_subcommand(tmp_path):
                    "--out", str(out_dir)) == 0
     assert (out_dir / "summary.csv").exists()
     assert (out_dir / "trials.jsonl").exists()
+    assert (out_dir / "curves.npz").exists()
+    # curves after table1 renders from its store; the files match a cold run.
+    cold_dir = tmp_path / "cold"
+    for out in (out_dir, cold_dir):
+        assert run_cli("experiments", "curves", "--config", str(config),
+                       "--out", str(out)) == 0
+    warm = {p.name: p.read_bytes() for p in (out_dir / "curves").iterdir()}
+    cold = {p.name: p.read_bytes() for p in (cold_dir / "curves").iterdir()}
+    assert len(warm) == 4 and warm == cold
+
+
+def test_unknown_config_key_exits_two(tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"dims": [2], "trialsPerDims": 2}))
+    assert run_cli("experiments", "table1", "--config", str(config),
+                   "--out", str(tmp_path / "results")) == 2
+    assert "trialsPerDims" in capsys.readouterr().err
 
 
 def test_missing_seed_is_usage_error():

@@ -1,7 +1,13 @@
+import dataclasses
 import json
 
+import pytest
 
+import magmoments
+from magmoments import experiments
+from magmoments.errors import FactorizationFailure
 from magmoments.experiments import (
+    CURVE_STORE,
     ExperimentConfig,
     run_prefix_curves,
     run_table1,
@@ -97,9 +103,137 @@ def test_prefix_curves_outputs(tmp_path):
 
 
 def test_config_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         ExperimentConfig(volume_fraction=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(trials_per_dim=2, seeds=(1,))
+
+
+def test_config_from_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="trialsPerDims"):
+        ExperimentConfig.from_json('{"dims": [2], "trialsPerDims": 5}')
+    with pytest.raises(ValueError, match="object"):
+        ExperimentConfig.from_json("[2, 3]")
+
+
+def test_run_trial_counts_vertices_without_an_incremental_hull(monkeypatch):
+    cfg = _tiny_config()
+    want = run_trial(cfg, 2, 0).hull_vertex_count
+    real = experiments.moment_prefix_curve
+
+    def no_hull(cloud, moments, return_vertex_count=False):
+        return real(cloud, moments), None
+
+    monkeypatch.setattr(experiments, "moment_prefix_curve", no_hull)
+    assert run_trial(cfg, 2, 0).hull_vertex_count == want
+
+
+def _store_config():
+    return _tiny_config(dims=(2, 3), trials_per_dim=2, seeds=(0, 1))
+
+
+def _curve_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted((out_dir / "curves").iterdir())}
+
+
+@pytest.fixture(scope="module")
+def cold_curves(tmp_path_factory):
+    """Curve files of a curves run in an empty directory."""
+    out = tmp_path_factory.mktemp("cold")
+    run_prefix_curves(_store_config(), str(out))
+    return _curve_files(out)
+
+
+@pytest.fixture
+def trial_calls(monkeypatch):
+    """(dim, seed) of every run_trial call that run_prefix_curves makes."""
+    calls = []
+    real = experiments.run_trial
+
+    def counted(config, dim, base_seed):
+        calls.append((dim, base_seed))
+        return real(config, dim, base_seed)
+
+    monkeypatch.setattr(experiments, "run_trial", counted)
+    return calls
+
+
+def _fail(*args):
+    raise AssertionError("run_trial called on a warm directory")
+
+
+def test_curves_from_store_match_fresh_trials(tmp_path, monkeypatch, cold_curves):
+    cfg = _store_config()
+    run_table1(cfg, str(tmp_path))
+    assert (tmp_path / CURVE_STORE).exists()
+    monkeypatch.setattr(experiments, "run_trial", _fail)
+    written = run_prefix_curves(cfg, str(tmp_path))
+    assert len(written) == 2 * len(cfg.dims) * len(cfg.seeds)
+    assert _curve_files(tmp_path) == cold_curves
+
+
+def _store_for(**overrides):
+    def write(cfg, out, monkeypatch):
+        run_table1(dataclasses.replace(cfg, **overrides), str(out))
+
+    return write
+
+
+def _store_of_other_version(cfg, out, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(magmoments, "__version__", magmoments.__version__ + "+other")
+        run_table1(cfg, str(out))
+
+
+def _truncated_store(cfg, out, monkeypatch):
+    run_table1(cfg, str(out))
+    data = (out / CURVE_STORE).read_bytes()
+    (out / CURVE_STORE).write_bytes(data[: len(data) // 2])
+
+
+def _garbage_store(cfg, out, monkeypatch):
+    (out / CURVE_STORE).write_bytes(b"not a curve store\n" * 64)
+
+
+@pytest.mark.parametrize(
+    "write_store",
+    [
+        pytest.param(_store_for(trials_per_dim=1, seeds=(1,)), id="other-seeds"),
+        pytest.param(_store_for(points_per_trial=50), id="other-points"),
+        pytest.param(_store_for(quadrature_order=16), id="other-order"),
+        pytest.param(_store_of_other_version, id="other-version"),
+        pytest.param(_truncated_store, id="truncated"),
+        pytest.param(_garbage_store, id="garbage"),
+    ],
+)
+def test_mismatched_curve_store_is_ignored(
+    tmp_path, monkeypatch, cold_curves, trial_calls, write_store
+):
+    cfg = _store_config()
+    write_store(cfg, tmp_path, monkeypatch)
+    trial_calls.clear()
+    run_prefix_curves(cfg, str(tmp_path))
+    assert trial_calls == [(d, s) for d in cfg.dims for s in cfg.seeds]
+    assert _curve_files(tmp_path) == cold_curves
+
+
+def test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_calls):
+    cfg = _store_config()
+    real = experiments.run_trial
+
+    def fails_on_dim3_seed1(config, dim, base_seed):
+        if (dim, base_seed) == (3, 1):
+            raise FactorizationFailure("injected")
+        return real(config, dim, base_seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "run_trial", fails_on_dim3_seed1)
+        with pytest.warns(UserWarning, match="dim=3 seed=1 failed"):
+            run_table1(cfg, str(tmp_path))
+        # The store lacks the failed trial, so curves reruns it and fails again.
+        with pytest.raises(FactorizationFailure):
+            run_prefix_curves(cfg, str(tmp_path))
+    trial_calls.clear()
+    run_prefix_curves(cfg, str(tmp_path))
+    assert trial_calls == [(3, 1)]
+    assert _curve_files(tmp_path) == cold_curves

@@ -178,6 +178,22 @@ def test_prefix_curve_endpoints_and_monotonicity():
     assert all(a <= b + 1e-9 for a, b in zip(mags, mags[1:]))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_prefix_curve_vertex_count_matches_convex_hull(dim):
+    cloud = _blob_cloud(n=200, dim=dim, seed=60 + dim)
+    mv = _moments(cloud)
+    curve, count = moment_prefix_curve(cloud, mv, return_vertex_count=True)
+    assert curve == moment_prefix_curve(cloud, mv)
+    assert count == convex_hull(cloud).vertex_count
+
+
+def test_prefix_curve_vertex_count_none_without_a_hull():
+    cloud, mv = _in_given_order(np.outer(np.arange(1.0, 9.0), [1.0, -2.0]))
+    curve, count = moment_prefix_curve(cloud, mv, return_vertex_count=True)
+    assert count is None
+    assert all(vol == 0.0 for _, vol, _ in curve)
+
+
 def _own_order(cloud):
     return cloud, _moments(cloud)
 
