@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=64)
     p.add_argument("--t", type=float, default=1.0,
                    help="scale for the exported weight column")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("magfn", help="magnitude function t -> |tX|")
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-convention", choices=["derived", "paper"],
                    default="derived")
     p.add_argument("--order", type=int, default=64)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("experiments", help="run the experiment harness")
@@ -155,7 +153,7 @@ def _cmd_weights(args) -> int:
 def _cmd_moments(args) -> int:
     cloud = _load_cloud(args.input)
     rule = gauss_laguerre_rule(args.order)
-    mv = zeroth_moments(cloud, rule, threads=args.threads, estimate_error=False)
+    mv = zeroth_moments(cloud, rule, estimate_error=False)
     wv = weights_at_scale(cloud, args.t)
     header = [f"x{i}" for i in range(cloud.dim)] + ["w", "mu0", "log1p_mu0"]
     lines = [",".join(header)]
@@ -207,8 +205,7 @@ def _cmd_hull_approx(args) -> int:
         raise ValueError("epsilon must be nonnegative")
     rule = gauss_laguerre_rule(args.order)
     hull, report = hull_filter.approximate_hull(
-        cloud, epsilon, rule, convention=args.threshold_convention,
-        threads=args.threads,
+        cloud, epsilon, rule, convention=args.threshold_convention
     )
     full = convex_hull(cloud)
     payload = {

@@ -51,7 +51,6 @@ _JSON_KEYS = {
     "quadrature_order": "quadratureOrder",
     "volume_fraction": "volumeFraction",
     "seeds": "seeds",
-    "threads": "threads",
 }
 
 
@@ -66,7 +65,6 @@ class ExperimentConfig:
     quadrature_order: int = 64
     volume_fraction: float = 0.9
     seeds: tuple = ()
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 < self.volume_fraction < 1:
@@ -124,11 +122,9 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     )
     cloud = generate(spec)
     rule = gauss_laguerre_rule(config.quadrature_order)
-    moments = zeroth_moments(
-        cloud, rule, threads=config.threads, estimate_error=False
-    )
+    moments = zeroth_moments(cloud, rule, estimate_error=False)
     _check_budget(start)
-    curve, vertex_count = moment_prefix_curve(cloud, moments, return_vertex_count=True)
+    curve, vertex_count = moment_prefix_curve(cloud, moments)
     _check_budget(start)
     full_volume = curve[-1][1]
     target = config.volume_fraction * full_volume

@@ -122,13 +122,12 @@ def approximate_hull(
     epsilon: float,
     rule: QuadratureRule | None = None,
     convention: str = "derived",
-    threads: int = 1,
 ) -> tuple[HullResult, FilterReport]:
     """Moment-filter the cloud, then hull only the kept points.
 
     Vertex and facet indices in the result refer to the original cloud.
     """
-    moments = zeroth_moments(cloud, rule, threads=threads, estimate_error=False)
+    moments = zeroth_moments(cloud, rule, estimate_error=False)
     report = filter_by_moment(cloud, moments, epsilon, convention)
     kept = list(report.kept_indices)
     sub = cloud.subset(kept)
@@ -150,8 +149,8 @@ def approximate_hull(
 
 
 def moment_prefix_curve(
-    cloud: PointCloud, moments: MomentVector, return_vertex_count: bool = False
-):
+    cloud: PointCloud, moments: MomentVector
+) -> tuple[list, int | None]:
     """(i, Vol(Conv(X_<=i)), |X_<=i|) for prefixes in descending moment order.
 
     Magnitudes: the Cholesky factor of a leading block of the permuted
@@ -164,11 +163,12 @@ def moment_prefix_curve(
     directions, then kept by an incremental Qhull. The hull only grows:
     after each change one product tests the remaining points against its
     facets, and only the next point not strictly inside (containment_slack)
-    goes to Qhull; prefixes in between keep the current volume.
+    goes to Qhull; prefixes in between keep the current volume. At d = 1
+    a prefix's volume is its running max minus its running min.
 
-    With ``return_vertex_count`` the result is ``(curve, count)``: count is
-    the vertex count of the last incremental hull, which spans the whole
-    cloud, or None when no prefix was full-dimensional and no hull was built.
+    Returns ``(curve, count)``: count is the vertex count of the last
+    incremental hull, which spans the whole cloud, or None when no hull was
+    built (d = 1, or no prefix was full-dimensional).
     """
     from scipy.linalg import solve_triangular
     from scipy.spatial import ConvexHull, QhullError
@@ -187,13 +187,16 @@ def moment_prefix_curve(
 
     volumes = np.zeros(n)
     qh = vertex_count = None
-    for size in range(d + 1, n + 1):
-        if affine_rank(pts[:size]) == d:
-            try:
-                qh = ConvexHull(pts[:size], incremental=True)
-                break
-            except QhullError:
-                pass
+    if d == 1:
+        volumes = np.maximum.accumulate(pts[:, 0]) - np.minimum.accumulate(pts[:, 0])
+    else:
+        for size in range(d + 1, n + 1):
+            if affine_rank(pts[:size]) == d:
+                try:
+                    qh = ConvexHull(pts[:size], incremental=True)
+                    break
+                except QhullError:
+                    pass
     if qh is not None:
         slack = containment_slack(cloud.points)
         rest = np.arange(size, n)  # points that may still leave the hull
@@ -212,4 +215,4 @@ def moment_prefix_curve(
         finally:
             qh.close()
     curve = list(zip(range(1, n + 1), volumes.tolist(), magnitudes.tolist()))
-    return (curve, vertex_count) if return_vertex_count else curve
+    return curve, vertex_count

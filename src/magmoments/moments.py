@@ -12,7 +12,6 @@ Gauss-Laguerre rule whose weights absorb the e^{-t} factor.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,42 +103,32 @@ class MomentVector:
         object.__setattr__(self, "mu0", mu0)
 
 
-def _node_weights(cloud: PointCloud, rule: QuadratureRule, threads: int) -> np.ndarray:
+def _node_weights(cloud: PointCloud, rule: QuadratureRule) -> np.ndarray:
     """w_{t_k}(x_i) as an (order, N) array, with the underflow guard."""
     diameter = cloud.diameter()  # also the duplicate check, before any skip
     tail = np.cumsum(rule.weights[::-1])[::-1]
     skip = (rule.nodes * diameter > UNDERFLOW_EXPONENT) & (tail < np.finfo(float).eps)
-
-    def one(t: float, skipped: bool) -> np.ndarray:
+    rows = []
+    for t, skipped in zip(rule.nodes, skip):
         if skipped or cloud.size == 1:
-            return np.ones(cloud.size)
+            rows.append(np.ones(cloud.size))
+            continue
         try:
-            return weights_at_scale(cloud, t).weights
+            rows.append(weights_at_scale(cloud, t).weights)
         except FactorizationFailure as exc:
             raise FactorizationFailure(f"at quadrature node t={t}: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, rule.nodes, skip))
-    else:
-        rows = list(map(one, rule.nodes, skip))
-    # Stacking in node order keeps the reduction deterministic regardless
-    # of completion order.
     return np.vstack(rows)
 
 
 def _moment_sum(
-    cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray, threads: int
+    cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray
 ) -> np.ndarray:
     """sum_k omega_k factor_k w_{t_k}(x_i)^2 for every point x_i."""
-    return (rule.weights * factor) @ _node_weights(cloud, rule, threads) ** 2
+    return (rule.weights * factor) @ _node_weights(cloud, rule) ** 2
 
 
 def zeroth_moments(
-    cloud: PointCloud,
-    rule: QuadratureRule | None = None,
-    threads: int = 1,
-    estimate_error: bool = True,
+    cloud: PointCloud, rule: QuadratureRule | None = None, estimate_error: bool = True
 ) -> MomentVector:
     """mu_0 for every point: sum_k omega_k w_{t_k}(x_i)^2.
 
@@ -148,11 +137,11 @@ def zeroth_moments(
     """
     if rule is None:
         rule = gauss_laguerre_rule()
-    mu0 = _moment_sum(cloud, rule, np.ones(rule.order), threads)
+    mu0 = _moment_sum(cloud, rule, np.ones(rule.order))
     err = np.nan
     if estimate_error:
         fine = _double_order(rule)
-        mu0_fine = _moment_sum(cloud, fine, np.ones(fine.order), threads)
+        mu0_fine = _moment_sum(cloud, fine, np.ones(fine.order))
         diff = np.abs(mu0 - mu0_fine)
         err = float(diff.max())
         rel = diff / np.maximum(np.abs(mu0_fine), 1e-300)
@@ -170,32 +159,30 @@ def _double_order(rule: QuadratureRule) -> QuadratureRule:
 
 
 def higher_moments(
-    cloud: PointCloud, n: int, rule: QuadratureRule | None = None, threads: int = 1
+    cloud: PointCloud, n: int, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """mu_n: sum_k omega_k t_k^n w_{t_k}(x_i)^2."""
     if n < 0:
         raise ValueError("moment order n must be nonnegative")
     if rule is None:
         rule = gauss_laguerre_rule()
-    return _moment_sum(cloud, rule, rule.nodes**n, threads)
+    return _moment_sum(cloud, rule, rule.nodes**n)
 
 
 def laplace_moment(
-    cloud: PointCloud, s: float, rule: QuadratureRule | None = None, threads: int = 1
+    cloud: PointCloud, s: float, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """Shifted Laplace transform of w_t^2: sum_k omega_k e^{-s t_k} w^2."""
     if s < 0:
         raise ValueError("shift s must be nonnegative")
     if rule is None:
         rule = gauss_laguerre_rule()
-    return _moment_sum(cloud, rule, np.exp(-s * rule.nodes), threads)
+    return _moment_sum(cloud, rule, np.exp(-s * rule.nodes))
 
 
-def magnitude_moment(
-    cloud: PointCloud, rule: QuadratureRule | None = None, threads: int = 1
-) -> float:
+def magnitude_moment(cloud: PointCloud, rule: QuadratureRule | None = None) -> float:
     """Integral of e^{-t} |tX| dt, discretized over the rule's nodes."""
     if rule is None:
         rule = gauss_laguerre_rule()
-    rows = _node_weights(cloud, rule, threads)
+    rows = _node_weights(cloud, rule)
     return float(rule.weights @ rows.sum(axis=1))

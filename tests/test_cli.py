@@ -143,3 +143,9 @@ def test_numeric_failure_exits_one(tmp_path, capsys):
 def test_validation_failure_exits_two(tmp_path):
     missing = tmp_path / "nope.csv"
     assert run_cli("weights", "--input", str(missing), "--t", "1") == 2
+    # --threads was removed with the node thread pool: a usage error.
+    for command in (["moments"], ["hull-approx", "--epsilon", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--input", str(missing), "--threads", "2",
+                    "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2

@@ -114,6 +114,18 @@ def test_config_from_json_rejects_unknown_keys():
         ExperimentConfig.from_json('{"dims": [2], "trialsPerDims": 5}')
     with pytest.raises(ValueError, match="object"):
         ExperimentConfig.from_json("[2, 3]")
+    # Configs written while the node thread pool existed fail loudly.
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig.from_json('{"threads": 2}')
+
+
+def test_table1_and_curves_in_one_dimension(tmp_path):
+    cfg = _tiny_config(dims=(1,), trials_per_dim=2, seeds=(0, 1))
+    rows = run_table1(cfg, str(tmp_path))
+    assert [row[0] for row in rows] == [1]
+    records = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+    assert [r["hullVertexCount"] for r in records] == [2, 2]  # no failure lines
+    assert len(run_prefix_curves(cfg, str(tmp_path))) == 4
 
 
 def test_run_trial_counts_vertices_without_an_incremental_hull(monkeypatch):
@@ -121,8 +133,8 @@ def test_run_trial_counts_vertices_without_an_incremental_hull(monkeypatch):
     want = run_trial(cfg, 2, 0).hull_vertex_count
     real = experiments.moment_prefix_curve
 
-    def no_hull(cloud, moments, return_vertex_count=False):
-        return real(cloud, moments), None
+    def no_hull(cloud, moments):
+        return real(cloud, moments)[0], None
 
     monkeypatch.setattr(experiments, "moment_prefix_curve", no_hull)
     assert run_trial(cfg, 2, 0).hull_vertex_count == want

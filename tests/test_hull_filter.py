@@ -138,7 +138,7 @@ def test_approx_volume_never_exceeds_full():
 def test_blob_cloud_reaches_90_percent_quickly():
     cloud = _blob_cloud(n=1000, seed=7)
     mv = _moments(cloud)
-    curve = moment_prefix_curve(cloud, mv)
+    curve, _ = moment_prefix_curve(cloud, mv)
     full = curve[-1][1]
     i90 = next(i for i, vol, _ in curve if vol >= 0.9 * full)
     # Dimension-2 blob clouds need only a handful of top-moment points.
@@ -163,7 +163,7 @@ def test_removal_budget_guarantee():
 def test_prefix_curve_endpoints_and_monotonicity():
     cloud = _blob_cloud(n=80, dim=3)
     mv = _moments(cloud)
-    curve = moment_prefix_curve(cloud, mv)
+    curve, _ = moment_prefix_curve(cloud, mv)
     assert [i for i, _, _ in curve] == list(range(1, 81))
     # Degenerate prefixes carry zero volume.
     for i, vol, _ in curve[: cloud.dim]:
@@ -182,16 +182,26 @@ def test_prefix_curve_endpoints_and_monotonicity():
 def test_prefix_curve_vertex_count_matches_convex_hull(dim):
     cloud = _blob_cloud(n=200, dim=dim, seed=60 + dim)
     mv = _moments(cloud)
-    curve, count = moment_prefix_curve(cloud, mv, return_vertex_count=True)
-    assert curve == moment_prefix_curve(cloud, mv)
+    curve, count = moment_prefix_curve(cloud, mv)
+    assert moment_prefix_curve(cloud, mv) == (curve, count)
     assert count == convex_hull(cloud).vertex_count
 
 
 def test_prefix_curve_vertex_count_none_without_a_hull():
     cloud, mv = _in_given_order(np.outer(np.arange(1.0, 9.0), [1.0, -2.0]))
-    curve, count = moment_prefix_curve(cloud, mv, return_vertex_count=True)
+    curve, count = moment_prefix_curve(cloud, mv)
     assert count is None
     assert all(vol == 0.0 for _, vol, _ in curve)
+
+
+def test_prefix_curve_in_one_dimension_matches_convex_hull():
+    cloud = _blob_cloud(n=20, dim=1, seed=59)
+    mv = _moments(cloud)
+    curve, count = moment_prefix_curve(cloud, mv)
+    assert count is None  # no Qhull at d = 1
+    order = np.argsort(mv.mu0, kind="stable")[::-1]
+    for i, vol, _ in curve:
+        assert vol == convex_hull(cloud.subset(order[:i])).volume
 
 
 def _own_order(cloud):
@@ -247,7 +257,7 @@ def test_prefix_curve_matches_bruteforce(case):
     cloud, mv = case()
     order = np.argsort(mv.mu0, kind="stable")[::-1]
     want = prefix_curve_bruteforce(cloud.points[order])
-    got = moment_prefix_curve(cloud, mv)
+    got, _ = moment_prefix_curve(cloud, mv)
     assert [i for i, _, _ in got] == [i for i, _, _ in want]
     for (_, vol, mag), (_, want_vol, want_mag) in zip(got, want):
         assert vol == pytest.approx(want_vol, rel=1e-12, abs=0.0)
