@@ -320,7 +320,13 @@ def _curve_svg(curve, fraction, width=640, height=400, margin=40) -> str:
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:
+    """Write through ``path + ".tmp"``; a failed write leaves neither file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -7,14 +7,40 @@ The zeroth moment of a point x is
 a scale-free importance score that is larger for extremal points. The
 generalized moments mu_n insert a factor t^n, and the shifted Laplace
 transform inserts e^{-s t}. All of them discretize the integral with a
-Gauss-Laguerre rule whose weights absorb the e^{-t} factor.
+Gauss-Laguerre rule whose weights absorb the e^{-t} factor, and share one
+node loop that differs only in the per-node factor f_k.
+
+The loop stops solving at the first node t_k whose remaining contribution is
+proved negligible, and puts in w = 1 from there on. With acc_i the sum so far
+over nodes j < k, T_k = sum_{j >= k} omega_j f_j the rule's remaining
+weight, N points and u = 2^-53, the cut needs a certificate that
+
+    lambda_min(Z_{t_k}) >= sigma_k = sqrt(T_k N / (u min_i acc_i)),
+
+Z_t = exp(-t D) being the similarity matrix. It holds at every later node
+too: Z_t = Z_{t_k} o Z_{t - t_k} (entrywise product), the second factor is
+positive definite with unit diagonal because Euclidean distance is of
+negative type, and by Schur's theorem (Horn & Johnson, Topics in Matrix
+Analysis, Thm 5.3.4) lambda_min(A o B) >= lambda_min(A) min_i B_ii. From
+lambda ||w||^2 <= w^T Z w = 1^T w <= sqrt(N) ||w|| every later w_t(x_i)^2 is
+at most N / sigma_k^2, so the skipped tail, and the w = 1 put in for it
+(sigma_k <= 1), both lie in [0, u acc_i]: no more than the rounding of one
+addition to acc_i. The factor f enters T_k: t^3 is about 3e5 at t = 70.
+``magnitude_moment`` sums 1^T w = |tX| <= N / lambda_min instead, and
+needs lambda_min >= T_k N / (u acc). The certificate is Gershgorin's bound
+or, failing that, one floating-point Cholesky factorization that runs to
+completion (Rump, "Verification of positive definiteness", BIT 46 (2006)
+433-452); it covers the rounding of the computed distances too. Without a
+certificate every node is solved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.special import roots_laguerre
 
 from .errors import FactorizationFailure, QuadratureDivergence
@@ -22,12 +48,11 @@ from .errors import FactorizationFailure, QuadratureDivergence
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
 from .magnitude import weights_at_scale
 
-#: A node t_k is skipped, with w = 1 substituted, when t_k * diameter is
-#: beyond this (exp(-t * diameter) underflows) and the rule's remaining
-#: weight sum_{j >= k} omega_j is below machine epsilon. w need not be near 1
-#: there (points much closer together than the diameter keep weights well
-#: below 1); the tail bound is what makes the skipped nodes negligible.
-UNDERFLOW_EXPONENT = 700.0
+#: The tail cut's certificate is first tried when the lambda_min it needs,
+#: sigma_k above, falls to this (a unit diagonal puts lambda_min at most 1);
+#: after a refusal, once sigma_k has fallen 16x further. Each try builds one
+#: N x N matrix and may factor it, so it costs about one solved node.
+TAIL_CUT_START = 0.125
 
 DEFAULT_ORDER = 64
 
@@ -103,28 +128,93 @@ class MomentVector:
         object.__setattr__(self, "mu0", mu0)
 
 
-def _node_weights(cloud: PointCloud, rule: QuadratureRule) -> np.ndarray:
-    """w_{t_k}(x_i) as an (order, N) array, with the underflow guard."""
-    diameter = cloud.diameter()  # also the duplicate check, before any skip
-    tail = np.cumsum(rule.weights[::-1])[::-1]
-    skip = (rule.nodes * diameter > UNDERFLOW_EXPONENT) & (tail < np.finfo(float).eps)
+def _node_weights(
+    cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray, power: int = 2
+) -> np.ndarray:
+    """w_{t_k}(x_i) as an (order, N) array, w = 1 past the certified cut.
+
+    The integrand is w_i^2 per point for ``power`` 2 and sum_i w_i for
+    ``power`` 1; either is at most N / lambda_min(Z_t)^power, and the cut
+    needs its tail, weighted by ``factor``, below u times the smallest
+    partial sum.
+    """
+    n = cloud.distances.shape[0]  # the duplicate check, before any node
+    if n == 1:
+        return np.ones((rule.order, 1))
+    u = np.finfo(np.float64).eps / 2
+    weighted = rule.weights * factor
+    tail = np.cumsum(weighted[::-1])[::-1]
+    acc = np.zeros(n if power == 2 else 1)
+    attempt = TAIL_CUT_START
     rows = []
-    for t, skipped in zip(rule.nodes, skip):
-        if skipped or cloud.size == 1:
-            rows.append(np.ones(cloud.size))
-            continue
+    for k, t in enumerate(rule.nodes):
+        # sigma_k ** power = need / floor, compared before dividing.
+        need = tail[k] * n / u
+        floor = acc.min()
+        if floor > 0 and need <= attempt**power * floor:
+            sigma = (need / floor) ** (1 / power)
+            if _certify_lambda_min(cloud, t, sigma):
+                rows.extend([np.ones(n)] * (rule.order - k))
+                break
+            attempt = sigma / 16
         try:
-            rows.append(weights_at_scale(cloud, t).weights)
+            w = weights_at_scale(cloud, t).weights
         except FactorizationFailure as exc:
             raise FactorizationFailure(f"at quadrature node t={t}: {exc}") from exc
+        rows.append(w)
+        acc += weighted[k] * (w**2 if power == 2 else w.sum())
     return np.vstack(rows)
+
+
+def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
+    """True only if lambda_min(exp(-t D)) >= sigma is proved, where D holds
+    the exact distances between the cloud's points; False is "not
+    certified", never an error.
+
+    The proof works on the computed W = exp(-t D~), D~ = cloud.distances,
+    in one N x N array that the factorization overwrites. D~ comes from the
+    expansion ||a||^2 + ||b||^2 - 2 a.b, whose rounding leaves
+    |D~_ij - D_ij| <= delta_i + delta_j, delta_i = sqrt(4 (d + 2) u) ||x_i||,
+    whatever the pair's distance. With v_i = t delta_i (``spread``),
+    entrywise |W - Z| <= (expm1(v_i + v_j) + 4u) W_ij + 2u e^{v_i + v_j},
+    the roundings of t D~ and of exp included. By Weyl's inequality
+    lambda_min(Z) >= lambda_min(W) - slack, slack being twice that bound's
+    largest off-diagonal row sum. lambda_min(W) is bounded by Gershgorin,
+    1 - r (1 + 2 N u) with r the largest computed off-diagonal row sum, or
+    else by Rump's theorem: if floating-point Cholesky of W - s I runs to
+    completion, lambda_min(W) >= s - 2 (N + 1) N u (the factor 2 covers
+    second-order terms, the rounding of the diagonal and underflow).
+    """
+    n = cloud.size
+    u = np.finfo(np.float64).eps / 2
+    norms = np.sqrt(np.einsum("ij,ij->i", cloud.points, cloud.points))
+    spread = t * math.sqrt(4 * (cloud.dim + 2) * u) * norms
+    if 2 * spread.max() >= -math.log(4 * n * u):
+        return False  # the rounding term of the slack alone would reach 1
+    grow = np.expm1(spread)
+    work = np.multiply(cloud.distances, -float(t))
+    np.exp(work, out=work)
+    np.fill_diagonal(work, 0.0)
+    rows = work.sum(axis=1)
+    # sum_j W_ij expm1(v_i + v_j), with expm1(a + b) = expm1(a) + e^a expm1(b)
+    drift = grow * rows + (1 + grow) * (work @ grow)
+    offdiag = rows.max() * (1 + 2 * n * u)
+    slack = 2 * ((drift + 4 * u * rows).max() + 2 * n * u * (1 + grow.max()) ** 2)
+    if 1.0 - offdiag - slack >= sigma:
+        return True
+    shift = sigma + slack + 2 * (n + 1) * n * u
+    np.fill_diagonal(work, 1.0 - shift)
+    # The transpose is the same symmetric matrix in Fortran order, factored
+    # in place.
+    _, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
 
 
 def _moment_sum(
     cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray
 ) -> np.ndarray:
     """sum_k omega_k factor_k w_{t_k}(x_i)^2 for every point x_i."""
-    return (rule.weights * factor) @ _node_weights(cloud, rule) ** 2
+    return (rule.weights * factor) @ _node_weights(cloud, rule, factor) ** 2
 
 
 def zeroth_moments(
@@ -184,5 +274,5 @@ def magnitude_moment(cloud: PointCloud, rule: QuadratureRule | None = None) -> f
     """Integral of e^{-t} |tX| dt, discretized over the rule's nodes."""
     if rule is None:
         rule = gauss_laguerre_rule()
-    rows = _node_weights(cloud, rule)
+    rows = _node_weights(cloud, rule, np.ones(rule.order), power=1)
     return float(rule.weights @ rows.sum(axis=1))

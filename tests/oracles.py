@@ -52,12 +52,23 @@ def dense_weights(pts: np.ndarray, t: float = 1.0):
     return w, float(w.sum())
 
 
-def dense_zeroth_moments(pts: np.ndarray, nodes, weights) -> np.ndarray:
-    """sum_k omega_k w_{t_k}^2 with every node solved densely, none skipped."""
+def dense_node_weights(pts: np.ndarray, nodes) -> np.ndarray:
+    """w_{t_k} as an (order, N) array, every node solved densely, none skipped."""
     dist = double_loop_distances(pts)
     ones = np.ones(len(pts))
-    rows = [np.linalg.solve(np.exp(-t * dist), ones) for t in nodes]
-    return np.asarray(weights) @ np.square(rows)
+    return np.array([np.linalg.solve(np.exp(-t * dist), ones) for t in nodes])
+
+
+def dense_zeroth_moments(pts: np.ndarray, nodes, weights, factor=None) -> np.ndarray:
+    """sum_k omega_k factor_k w_{t_k}^2 with every node solved densely, none
+    skipped; the factor is 1 unless given (t^n, e^{-s t}, ...)."""
+    scaled = np.asarray(weights) * (1.0 if factor is None else np.asarray(factor))
+    return scaled @ np.square(dense_node_weights(pts, nodes))
+
+
+def dense_magnitude_moment(pts: np.ndarray, nodes, weights) -> float:
+    """sum_k omega_k |t_k X| with every node solved densely."""
+    return float(np.asarray(weights) @ dense_node_weights(pts, nodes).sum(axis=1))
 
 
 def dense_schur(pts: np.ndarray, removed, t: float = 1.0) -> np.ndarray:

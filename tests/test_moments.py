@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from magmoments import (
     DuplicatePoints,
@@ -13,7 +15,7 @@ from magmoments import (
     moment_prefix_curve,
     zeroth_moments,
 )
-from magmoments import magnitude
+from magmoments import magnitude, moments
 from magmoments.datagen import DatasetSpec, generate
 
 import oracles
@@ -120,31 +122,124 @@ def test_permutation_invariance():
     ids=["zeroth_moments", "magnitude_moment", "moment_prefix_curve"],
 )
 def test_duplicates_raise_even_when_every_node_underflows(evaluate):
-    # The diameter puts every quadrature node past t * diameter > 700, and
-    # the nodes whose tail weight is negligible are skipped; the duplicate
-    # pair must be rejected before any node is solved or skipped.
+    # The diameter underflows exp(-t * diameter) at every quadrature node;
+    # the duplicate pair must be rejected before any node is solved or skipped.
     cloud = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1e6, 0.0], [0.0, 1e6]]))
     with pytest.raises(DuplicatePoints):
         evaluate(cloud)
 
 
-@pytest.mark.parametrize(
-    "cloud",
-    [
+#: Clouds for the dense oracle, with the relative tolerance it can resolve.
+#: The annulus's first node has a similarity matrix of condition number
+#: 4.6e6, so any two float64 solvers differ there: up to 3.6e-9 relative on
+#: its interior points, every node solved or not.
+ORACLE_CLOUDS = {
+    "annulus-300": (generate(DatasetSpec("annulus", 300, 2, seed=3)), 1e-8),
+    "near-pair-and-outlier": (
         PointCloud(np.array([[0.0, 0.0], [1e-3, 0.0], [1e6, 0.0]])),
-        generate(
-            DatasetSpec("gaussian-blobs", 300, 2, seed=1)
-        ).scale_coordinates(20.0),
-    ],
-    ids=["near-pair-and-outlier", "blob-x20"],
-)
-def test_underflow_guard_skips_only_negligible_nodes(cloud):
-    # One far point puts t * diameter past the underflow exponent at nodes
-    # where the close points' weights are far from 1; those nodes count.
+        1e-12,
+    ),
+    "blob-x20": (
+        generate(DatasetSpec("gaussian-blobs", 300, 2, seed=1)).scale_coordinates(20.0),
+        1e-12,
+    ),
+}
+
+#: (library call, dense oracle) on the points and the rule.
+ORACLE_MOMENTS = {
+    "zeroth": (
+        lambda c, r: zeroth_moments(c, r, estimate_error=False).mu0,
+        lambda p, r: oracles.dense_zeroth_moments(p, r.nodes, r.weights),
+    ),
+    "higher-n3": (
+        lambda c, r: higher_moments(c, 3, r),
+        lambda p, r: oracles.dense_zeroth_moments(p, r.nodes, r.weights, r.nodes**3),
+    ),
+    "laplace-s0.5": (
+        lambda c, r: laplace_moment(c, 0.5, r),
+        lambda p, r: oracles.dense_zeroth_moments(
+            p, r.nodes, r.weights, np.exp(-0.5 * r.nodes)
+        ),
+    ),
+    "magnitude": (
+        lambda c, r: np.array([magnitude_moment(c, r)]),
+        lambda p, r: np.array([oracles.dense_magnitude_moment(p, r.nodes, r.weights)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("cloud_id", ORACLE_CLOUDS)
+@pytest.mark.parametrize("moment", ORACLE_MOMENTS)
+def test_moments_match_dense_oracle(moment, cloud_id):
+    # The oracle solves every node; the library stops at the certified tail
+    # cut. Close points keep weights far from 1 at large t, where the
+    # outlier's distance underflows exp(-t * d).
+    cloud, rtol = ORACLE_CLOUDS[cloud_id]
+    evaluate, oracle = ORACLE_MOMENTS[moment]
     rule = gauss_laguerre_rule()
-    mu0 = zeroth_moments(cloud, rule, estimate_error=False).mu0
-    want = oracles.dense_zeroth_moments(cloud.points, rule.nodes, rule.weights)
-    assert np.abs(mu0 / want - 1.0).max() <= 1e-12
+    got = evaluate(cloud, rule)
+    want = oracle(cloud.points, rule)
+    assert np.abs(got / want - 1.0).max() <= rtol
+
+
+@pytest.mark.parametrize("cloud_id", ORACLE_CLOUDS)
+@pytest.mark.parametrize("moment", ORACLE_MOMENTS)
+def test_tail_cut_changes_no_bit(monkeypatch, moment, cloud_id):
+    # Against the same loop with the certificate refused, which solves every
+    # node. The factor t^3 weights the skipped nodes up 1e5-fold or more: a
+    # cut that left it out of the tail moves the annulus's mu_3 by 4 ulps.
+    cloud, _ = ORACLE_CLOUDS[cloud_id]
+    evaluate, _ = ORACLE_MOMENTS[moment]
+    rule = gauss_laguerre_rule(64)
+    solved = []
+    real = moments.weights_at_scale
+    monkeypatch.setattr(
+        moments, "weights_at_scale", lambda c, t: solved.append(t) or real(c, t)
+    )
+    got = evaluate(cloud, rule)
+    cut = len(solved)
+    monkeypatch.setattr(moments, "_certify_lambda_min", lambda c, t, s: False)
+    every_node = evaluate(cloud, rule)
+    assert len(solved) - cut == 64
+    assert cut < 64
+    if cloud_id == "annulus-300":
+        assert cut <= 48
+    assert np.array_equal(got, every_node)
+
+
+@st.composite
+def _certificate_cases(draw):
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, dim)) * scale
+    if draw(st.booleans()):  # a pair 1e-6 apart
+        step = rng.normal(size=dim)
+        pts[1] = pts[0] + 1e-6 * step / np.linalg.norm(step)
+    node = draw(st.integers(0, 63))
+    fraction = draw(st.floats(0.0, 1.0))
+    return pts, node, fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certificate_cases())
+def test_certificate_is_sound(case):
+    pts, node, fraction = case
+    cloud = PointCloud(pts)
+    try:
+        cloud.distances  # the node loop runs this duplicate check first
+    except DuplicatePoints:
+        reject()  # far from the origin, the rounding reads the 1e-6 pair as one
+    nodes = gauss_laguerre_rule(64).nodes
+    dist = oracles.double_loop_distances(pts)
+    lam = [np.linalg.eigvalsh(np.exp(-t * dist)).min() for t in nodes[node:]]
+    sigma = fraction * lam[0]
+    if moments._certify_lambda_min(cloud, nodes[node], sigma):
+        # Schur's theorem carries the bound to every later node.
+        assert min(lam) >= sigma
+    if lam[0] > 1e-8:  # eigvalsh's error is then far below 1% of lambda_min
+        assert not moments._certify_lambda_min(cloud, nodes[node], 1.01 * lam[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
