@@ -62,4 +62,4 @@ from .schur import (
     union_weights,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

@@ -27,11 +27,10 @@ at most N / sigma_k^2, so the skipped tail, and the w = 1 put in for it
 (sigma_k <= 1), both lie in [0, u acc_i]: no more than the rounding of one
 addition to acc_i. The factor f enters T_k: t^3 is about 3e5 at t = 70.
 ``magnitude_moment`` sums 1^T w = |tX| <= N / lambda_min instead, and
-needs lambda_min >= T_k N / (u acc). The certificate is Gershgorin's bound
-or, failing that, one floating-point Cholesky factorization that runs to
-completion (Rump, "Verification of positive definiteness", BIT 46 (2006)
-433-452); it covers the rounding of the computed distances too. Without a
-certificate every node is solved.
+needs lambda_min >= T_k N / (u acc). ``_certify_lambda_min`` proves the
+bound by Gershgorin or by one Cholesky factorization (Rump, BIT 46 (2006)
+433-452), less an O(N u) slack for rounding. Without a certificate every
+node is solved.
 """
 
 from __future__ import annotations
@@ -167,40 +166,37 @@ def _node_weights(
 
 
 def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
-    """True only if lambda_min(exp(-t D)) >= sigma is proved, where D holds
+    """True only if lambda_min(Z) >= sigma is proved for Z = exp(-t D), D
     the exact distances between the cloud's points; False is "not
     certified", never an error.
 
     The proof works on the computed W = exp(-t D~), D~ = cloud.distances,
-    in one N x N array that the factorization overwrites. D~ comes from the
-    expansion ||a||^2 + ||b||^2 - 2 a.b, whose rounding leaves
-    |D~_ij - D_ij| <= delta_i + delta_j, delta_i = sqrt(4 (d + 2) u) ||x_i||,
-    whatever the pair's distance. With v_i = t delta_i (``spread``),
-    entrywise |W - Z| <= (expm1(v_i + v_j) + 4u) W_ij + 2u e^{v_i + v_j},
-    the roundings of t D~ and of exp included. By Weyl's inequality
-    lambda_min(Z) >= lambda_min(W) - slack, slack being twice that bound's
-    largest off-diagonal row sum. lambda_min(W) is bounded by Gershgorin,
-    1 - r (1 + 2 N u) with r the largest computed off-diagonal row sum, or
-    else by Rump's theorem: if floating-point Cholesky of W - s I runs to
-    completion, lambda_min(W) >= s - 2 (N + 1) N u (the factor 2 covers
-    second-order terms, the rounding of the diagonal and underflow).
+    in one N x N array that the factorization overwrites. D~ is within
+    (d + 3) u of D relative, so the rounded t D~ is within (d + 5) u of t D,
+    second-order terms included. As y e^{-y} <= 1/e for y >= 0, that moves
+    exp(-t D_ij) by at most 1.01 (d + 5) u / e, and exp's own rounding adds
+    at most 4u W_ij. The diagonals agree exactly, and the largest row sum
+    of |W - Z| bounds its 2-norm, so by Weyl's inequality lambda_min(Z) >=
+    lambda_min(W) - slack with
+
+        slack = 2 ((N - 1) 1.01 (d + 5) u / e + 4u r),
+
+    r the largest computed off-diagonal row sum of W; the factor 2 covers
+    the rounding of r and underflow. The slack depends neither on t nor on
+    where the cloud sits. lambda_min(W) is bounded by Gershgorin,
+    1 - r (1 + 2 N u), or else by Rump's theorem: if floating-point Cholesky
+    of W - s I runs to completion, lambda_min(W) >= s - 2 (N + 1) N u (the
+    factor 2 covers second-order terms, the rounding of the diagonal and
+    underflow).
     """
     n = cloud.size
     u = np.finfo(np.float64).eps / 2
-    norms = np.sqrt(np.einsum("ij,ij->i", cloud.points, cloud.points))
-    spread = t * math.sqrt(4 * (cloud.dim + 2) * u) * norms
-    if 2 * spread.max() >= -math.log(4 * n * u):
-        return False  # the rounding term of the slack alone would reach 1
-    grow = np.expm1(spread)
     work = np.multiply(cloud.distances, -float(t))
     np.exp(work, out=work)
     np.fill_diagonal(work, 0.0)
-    rows = work.sum(axis=1)
-    # sum_j W_ij expm1(v_i + v_j), with expm1(a + b) = expm1(a) + e^a expm1(b)
-    drift = grow * rows + (1 + grow) * (work @ grow)
-    offdiag = rows.max() * (1 + 2 * n * u)
-    slack = 2 * ((drift + 4 * u * rows).max() + 2 * n * u * (1 + grow.max()) ** 2)
-    if 1.0 - offdiag - slack >= sigma:
+    r = work.sum(axis=1).max()
+    slack = 2 * ((n - 1) * 1.01 * (cloud.dim + 5) * u / math.e + 4 * u * r)
+    if 1.0 - r * (1 + 2 * n * u) - slack >= sigma:
         return True
     shift = sigma + slack + 2 * (n + 1) * n * u
     np.fill_diagonal(work, 1.0 - shift)

@@ -189,20 +189,18 @@ def union_weights(
         schur_w = a[:nw, :nw] - a_wy @ scipy.linalg.cho_solve(
             (lower_y, True), a_wy.T, check_finite=False
         )
-        wz_w = scipy.linalg.solve(
-            0.5 * (schur_w + schur_w.T),
+        wz_w = scipy.linalg.cho_solve(
+            (_cholesky_lower(0.5 * (schur_w + schur_w.T)), True),
             np.ones(nw) - a_wy @ w_y,
-            assume_a="pos",
             check_finite=False,
         )
         lower_w = _cholesky_lower(a[:nw, :nw])
         schur_y = a[nw:, nw:] - a_wy.T @ scipy.linalg.cho_solve(
             (lower_w, True), a_wy, check_finite=False
         )
-        wz_y = scipy.linalg.solve(
-            0.5 * (schur_y + schur_y.T),
+        wz_y = scipy.linalg.cho_solve(
+            (_cholesky_lower(0.5 * (schur_y + schur_y.T)), True),
             np.ones(ny) - a_wy.T @ w_w,
-            assume_a="pos",
             check_finite=False,
         )
     else:

@@ -92,6 +92,23 @@ def test_duplicate_points_rejected():
         build_similarity(PointCloud(pts), 1.0)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1.0, 10.0, 100.0, 1e3])
+def test_duplicate_check_does_not_depend_on_position(offset):
+    # The expansion ||a||^2 + ||b||^2 - 2 a.b read a 1e-9 gap as 0 at offset
+    # 10, and a 1e-13 gap as 2.7e-6 at offset 100.
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.0, 1.0, (6, 2)) + offset
+    step = np.array([0.6, 0.8])
+    pts[1] = pts[0] + 1e-9 * step
+    dist = PointCloud(pts).distances
+    want = oracles.double_loop_distances(pts)
+    assert np.all(np.abs(dist - want) <= 4 * np.finfo(float).eps * want)
+    assert dist[0, 1] == pytest.approx(1e-9, rel=1e-3)
+    pts[1] = pts[0] + 1e-13 * step
+    with pytest.raises(DuplicatePoints):
+        PointCloud(pts).distances
+
+
 def test_cloud_owns_a_copy_of_its_points():
     base = np.arange(12.0).reshape(6, 2)
     original = base[:4].copy()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magmoments import (
     DuplicatePoints,
     MomentVector,
     PointCloud,
+    QuadratureDivergence,
     gauss_laguerre_rule,
     higher_moments,
     laplace_moment,
@@ -217,6 +218,9 @@ def _certificate_cases(draw):
     if draw(st.booleans()):  # a pair 1e-6 apart
         step = rng.normal(size=dim)
         pts[1] = pts[0] + 1e-6 * step / np.linalg.norm(step)
+    # The slack must not depend on where the cloud sits.
+    away = rng.normal(size=dim)
+    pts += draw(st.floats(0.0, 1e3)) * away / np.linalg.norm(away)
     node = draw(st.integers(0, 63))
     fraction = draw(st.floats(0.0, 1.0))
     return pts, node, fraction
@@ -227,10 +231,6 @@ def _certificate_cases(draw):
 def test_certificate_is_sound(case):
     pts, node, fraction = case
     cloud = PointCloud(pts)
-    try:
-        cloud.distances  # the node loop runs this duplicate check first
-    except DuplicatePoints:
-        reject()  # far from the origin, the rounding reads the 1e-6 pair as one
     nodes = gauss_laguerre_rule(64).nodes
     dist = oracles.double_loop_distances(pts)
     lam = [np.linalg.eigvalsh(np.exp(-t * dist)).min() for t in nodes[node:]]
@@ -279,6 +279,31 @@ def test_error_estimate_bounds_order_doubling():
     mv = zeroth_moments(cloud, rule)
     fine = zeroth_moments(cloud, gauss_laguerre_rule(64), estimate_error=False)
     assert np.abs(mv.mu0 - fine.mu0).max() <= mv.estimated_error + 1e-15
+
+
+def test_quadrature_divergence_on_a_coarse_rule():
+    rng = np.random.default_rng(33)
+    cloud = PointCloud(rng.normal(size=(12, 2)))
+    with pytest.raises(QuadratureDivergence):
+        zeroth_moments(cloud, gauss_laguerre_rule(4))
+    zeroth_moments(cloud, gauss_laguerre_rule(16))
+
+
+@pytest.mark.parametrize("offset", [10.0, 100.0, 1e3])
+def test_translation_leaves_weights_and_moments(offset):
+    # Translating rounds the coordinates by up to 1.1e-13 at offset 1e3,
+    # which moves the weights here by at most 1.3e-9 and mu_0 by 2.1e-10.
+    # Distances from the expansion ||a||^2 + ||b||^2 - 2 a.b moved the
+    # weights by 4.7e-8 at offset 10 and 3e-4 at offset 1e3.
+    cloud = generate(DatasetSpec("annulus", 300, 2, seed=0))
+    moved = PointCloud(cloud.points + offset)
+    for t in (1.0, 10.0):
+        want = magnitude.weights_at_scale(cloud, t).weights
+        got = magnitude.weights_at_scale(moved, t).weights
+        assert np.abs(got / want - 1.0).max() <= 1e-8
+    want = zeroth_moments(cloud, estimate_error=False).mu0
+    got = zeroth_moments(moved, estimate_error=False).mu0
+    assert np.abs(got / want - 1.0).max() <= 1e-8
 
 
 def test_moments_nonnegative_and_finite():
