@@ -167,11 +167,16 @@ def pairwise_distances(cloud: PointCloud) -> np.ndarray:
     return dist
 
 
-def build_similarity(cloud: PointCloud, t: float) -> SimilarityMatrix:
-    """Similarity matrix of the scaled space tX: exp(-t * distance)."""
+def _similarity_entries(cloud: PointCloud, t: float) -> np.ndarray:
+    """exp(-t * distance) in one fresh, writable, C-ordered N x N array."""
     if t <= 0 or not np.isfinite(t):
         raise ValueError("scale t must be positive and finite")
     entries = np.multiply(cloud.distances, -float(t))
     np.exp(entries, out=entries)
     np.fill_diagonal(entries, 1.0)
-    return SimilarityMatrix(entries, float(t))
+    return entries
+
+
+def build_similarity(cloud: PointCloud, t: float) -> SimilarityMatrix:
+    """Similarity matrix of the scaled space tX: exp(-t * distance)."""
+    return SimilarityMatrix(_similarity_entries(cloud, t), float(t))

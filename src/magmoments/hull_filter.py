@@ -182,7 +182,7 @@ def moment_prefix_curve(
     np.exp(sim, out=sim)
     lower = _cholesky_lower(sim)
     y = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
-    del sim, lower  # two N x N arrays the hull pass does not need
+    del sim, lower  # the factored N x N array; the hull pass does not need it
     magnitudes = np.cumsum(y * y)
 
     volumes = np.zeros(n)

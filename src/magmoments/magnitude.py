@@ -6,6 +6,10 @@ diagonal row sums rho below DOMINANCE_CUT, typical at large t) is solved by
 conjugate gradient in O(N^2) per iteration; any other zeta, or one where
 the iteration stalls, goes through a Cholesky (SPD) factorization. Never an
 explicit inverse.
+
+Memory: beyond the cloud's distances, each solve holds one N x N array
+(8 N^2 bytes), the similarity matrix, which the Cholesky route factors in
+place.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationFailure, NonRepresentable
-from .geometry import PointCloud, SimilarityMatrix, build_similarity
+from .geometry import PointCloud, SimilarityMatrix, _similarity_entries
 
 #: Smallest admissible squared Cholesky pivot; below this the matrix is
 #: treated as numerically indefinite (near-duplicate points or extreme N*t).
@@ -58,11 +63,23 @@ class WeightVector:
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; a squared pivot below PIVOT_FLOOR raises."""
-    try:
-        lower = scipy.linalg.cholesky(matrix, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
+    """Lower Cholesky factor of a symmetric matrix, in the matrix's memory.
+
+    L fills the returned array on and below the diagonal; above it the
+    matrix's entries stay. A C-ordered input is factored in place (its
+    transpose is the same matrix in Fortran order); any other is copied
+    first, so use the returned array, never the input. A breakdown or a
+    squared pivot below PIVOT_FLOOR raises FactorizationFailure; a
+    read-only input, which LAPACK would still overwrite, raises ValueError.
+    """
+    if not matrix.flags.writeable:
+        raise ValueError("the matrix to factor in place must be writable")
+    lower, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise FactorizationFailure(
+            f"Cholesky factorization failed: leading minor {info} "
+            "is not positive definite"
+        )
     pivot_sq = np.diag(lower).min() ** 2
     if not pivot_sq >= PIVOT_FLOOR:
         raise FactorizationFailure(
@@ -100,42 +117,63 @@ def _conjugate_gradient(a: np.ndarray, ones: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def solve_weights(sim: SimilarityMatrix) -> WeightVector:
-    """Solve zeta w = 1 and return the weight vector.
+def _residual(factored: np.ndarray, w: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """1 - zeta w from the zeta entries above the diagonal of ``factored``.
+
+    The unit diagonal is put in for the product and L's diagonal restored
+    after it, so the factor stays usable for a refinement solve.
+    """
+    pivots = factored.diagonal().copy()
+    np.fill_diagonal(factored, 1.0)
+    residual = dsymv(-1.0, factored, w, beta=1.0, y=ones, lower=0)
+    np.fill_diagonal(factored, pivots)
+    return residual
+
+
+def _solve(a: np.ndarray, scale: float) -> WeightVector:
+    """Solve zeta w = 1 for zeta = ``a``, a writable C-ordered array.
 
     A diagonally dominant zeta is solved by conjugate gradient; otherwise,
-    or if CG stalls, by Cholesky, with one step of iterative refinement if
-    the residual exceeds the budget. On either path a residual over budget
-    is a hard error.
+    or if CG stalls, by Cholesky, factored in ``a``'s own memory, with one
+    step of iterative refinement if the residual exceeds the budget. On
+    either path a residual over budget is a hard error.
     """
-    a = sim.entries
     n = a.shape[0]
     ones = np.ones(n)
     budget = RESIDUAL_BUDGET * n
     w = _conjugate_gradient(a, ones)
     if w is None:
-        lower = _cholesky_lower(a)
-        w = scipy.linalg.cho_solve((lower, True), ones, check_finite=False)
-        residual = ones - a @ w
+        factored = _cholesky_lower(a)
+        w, _ = dpotrs(factored, ones, lower=1)
+        residual = _residual(factored, w, ones)
         if np.abs(residual).max() > budget:
-            w = w + scipy.linalg.cho_solve((lower, True), residual, check_finite=False)
-            residual = ones - a @ w
+            w = w + dpotrs(factored, residual, lower=1)[0]
+            residual = _residual(factored, w, ones)
     else:
         residual = ones - a @ w
     if np.abs(residual).max() > budget:
         raise FactorizationFailure(
             f"solve residual {np.abs(residual).max():.3e} exceeds budget {budget:.3e}"
         )
-    return WeightVector(w, sim.scale, float(w.sum()))
+    return WeightVector(w, scale, float(w.sum()))
+
+
+def solve_weights(sim: SimilarityMatrix) -> WeightVector:
+    """Solve zeta w = 1 and return the weight vector.
+
+    Works on one copy of ``sim.entries``, which stay as they were.
+    """
+    return _solve(sim.entries.copy(), sim.scale)
 
 
 def weights_at_scale(cloud: PointCloud, t: float) -> WeightVector:
-    """solve_weights(build_similarity(cloud, t)); every call solves afresh.
+    """Weights of the scaled space tX; every call solves afresh.
 
     The distances behind the similarity matrix are the cloud's own,
-    computed once per cloud.
+    computed once per cloud. The matrix is built into one fresh array,
+    which the solve then overwrites.
     """
-    return solve_weights(build_similarity(cloud, t))
+    return _solve(_similarity_entries(cloud, t), float(t))
 
 
 def magnitude_function(cloud: PointCloud, scales) -> list[tuple[float, float]]:

@@ -44,7 +44,7 @@ from scipy.special import roots_laguerre
 
 from .errors import FactorizationFailure, QuadratureDivergence
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
-from .geometry import PointCloud, pairwise_distances  # noqa: F401
+from .geometry import PointCloud, _similarity_entries, pairwise_distances  # noqa: F401
 from .magnitude import weights_at_scale
 
 #: The tail cut's certificate is first tried when the lambda_min it needs,
@@ -191,8 +191,7 @@ def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
     """
     n = cloud.size
     u = np.finfo(np.float64).eps / 2
-    work = np.multiply(cloud.distances, -float(t))
-    np.exp(work, out=work)
+    work = _similarity_entries(cloud, t)
     np.fill_diagonal(work, 0.0)
     r = work.sum(axis=1).max()
     slack = 2 * ((n - 1) * 1.01 * (cloud.dim + 5) * u / math.e + 4 * u * r)

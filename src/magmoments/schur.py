@@ -72,7 +72,7 @@ def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplemen
     solved = scipy.linalg.cho_solve((lower, True), cross.T, check_finite=False)
     s = a_p - cross @ solved
     s = 0.5 * (s + s.T)
-    s_lower = _cholesky_lower(s)
+    s_lower = _cholesky_lower(s.copy())  # the factor overwrites its argument
     det = float(np.prod(np.diag(s_lower)) ** 2)
     return SchurComplement(s, det)
 
@@ -185,7 +185,8 @@ def union_weights(
     w_w = weights_at_scale(cloud_x.subset(keep_x), t).weights if nw else np.zeros(0)
 
     if nw:
-        lower_y = _cholesky_lower(a[nw:, nw:])
+        # The factors overwrite their arguments: hand over copies of the blocks.
+        lower_y = _cholesky_lower(a[nw:, nw:].copy())
         schur_w = a[:nw, :nw] - a_wy @ scipy.linalg.cho_solve(
             (lower_y, True), a_wy.T, check_finite=False
         )
@@ -194,7 +195,7 @@ def union_weights(
             np.ones(nw) - a_wy @ w_y,
             check_finite=False,
         )
-        lower_w = _cholesky_lower(a[:nw, :nw])
+        lower_w = _cholesky_lower(a[:nw, :nw].copy())
         schur_y = a[nw:, nw:] - a_wy.T @ scipy.linalg.cho_solve(
             (lower_w, True), a_wy, check_finite=False
         )

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from magmoments import (
+    FactorizationFailure,
     NonRepresentable,
     PointCloud,
     WeightVector,
@@ -16,6 +18,7 @@ from magmoments import (
 from magmoments import magnitude
 from magmoments.datagen import DatasetSpec, generate
 from magmoments.magnitude import RESIDUAL_BUDGET
+from magmoments.moments import gauss_laguerre_rule
 
 import oracles
 
@@ -148,6 +151,86 @@ def test_stalled_conjugate_gradient_falls_back_to_cholesky(monkeypatch, cholesky
     assert cholesky_calls == [cloud.size]
     want = np.linalg.solve(sim.entries, np.ones(cloud.size))
     assert np.abs(wv.weights - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def annulus_1000():
+    cloud = generate(DatasetSpec("annulus", 1000, 2, seed=0))
+    cloud.distances  # computed and cached before any measurement
+    return cloud
+
+
+def test_cholesky_node_holds_one_matrix(annulus_1000, cholesky_calls):
+    # Beyond the cloud's cached distances, a Cholesky node holds one N x N
+    # array: the similarity matrix, factored in place.
+    cloud = annulus_1000
+    n = cloud.size
+    distances = cloud.distances.copy()
+    tracemalloc.start()
+    try:
+        weights_at_scale(cloud, gauss_laguerre_rule().nodes[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cholesky_calls == [n]
+    assert peak <= 1.1 * 8 * n * n
+    assert np.array_equal(cloud.distances, distances)
+
+
+def test_solve_weights_leaves_entries_unchanged(cholesky_calls):
+    cloud = generate(DatasetSpec("annulus", 300, 2, seed=3))
+    sim = build_similarity(cloud, 0.05)
+    before = sim.entries.copy()
+    wv = solve_weights(sim)
+    assert cholesky_calls == [cloud.size]
+    assert np.array_equal(sim.entries, before)
+    assert np.array_equal(wv.weights, weights_at_scale(cloud, 0.05).weights)
+
+
+def test_refinement_step_on_the_in_place_factor(monkeypatch, cholesky_calls):
+    # The annulus's first Gauss-Laguerre node, condition number 4.6e6. With
+    # no budget the solve refines once and then fails, which records the
+    # unrefined and the refined residual; a budget between the two must
+    # then accept the refined weights. Refining on a factor whose diagonal
+    # was left at 1 by the residual product leaves a residual above the
+    # unrefined one.
+    cloud = generate(DatasetSpec("annulus", 300, 2, seed=3))
+    t = gauss_laguerre_rule().nodes[0]
+    residuals = []
+    real = magnitude._residual
+
+    def recorded(factored, w, ones):
+        residual = real(factored, w, ones)
+        residuals.append(np.abs(residual).max())
+        return residual
+
+    monkeypatch.setattr(magnitude, "_residual", recorded)
+    monkeypatch.setattr(magnitude, "RESIDUAL_BUDGET", 0.0)
+    with pytest.raises(FactorizationFailure):
+        weights_at_scale(cloud, t)
+    unrefined, refined = residuals
+    assert refined < unrefined
+    residuals.clear()
+    budget = math.sqrt(unrefined * refined) / cloud.size
+    monkeypatch.setattr(magnitude, "RESIDUAL_BUDGET", budget)
+    wv = weights_at_scale(cloud, t)
+    assert len(residuals) == 2
+    assert cholesky_calls == [cloud.size] * 2
+    want = np.linalg.solve(build_similarity(cloud, t).entries, np.ones(cloud.size))
+    # Any two float64 solvers differ by about 3e-11 relative at this node.
+    assert np.abs(wv.weights - want).max() <= 1e-10 * np.abs(want).max()
+    assert wv.magnitude == pytest.approx(want.sum(), rel=1e-12)
+
+
+def test_cholesky_failure_is_typed():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(FactorizationFailure):
+        magnitude._cholesky_lower(indefinite.copy())
+    # LAPACK would overwrite even a read-only array.
+    frozen = np.eye(2)
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError):
+        magnitude._cholesky_lower(frozen)
 
 
 def test_quadratic_form_identity():

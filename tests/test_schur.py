@@ -191,3 +191,22 @@ def test_union_requires_matching_scale():
     y = PointCloud(np.array([[5.0]]))
     with pytest.raises(ValueError):
         union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 2.0))
+
+
+def test_inputs_unchanged_by_schur_and_union():
+    # The Cholesky factors overwrite their arguments; none may be an input.
+    # A one-point Y makes the union's Y block a contiguous 1 x 1 view.
+    rng = np.random.default_rng(30)
+    cloud, sim, wv = _setup(rng.normal(size=(12, 2)))
+    before = sim.entries.copy()
+    comp = schur_complement(sim, IndexSplit(tuple(range(8)), (8, 9, 10, 11), 12))
+    assert np.array_equal(sim.entries, before)
+    assert np.array_equal(comp.matrix, comp.matrix.T)
+    for y_pts in (rng.normal(size=(5, 2)) + 1.0, np.array([[3.0, 3.0]])):
+        y = PointCloud(y_pts)
+        wy = weights_at_scale(y, 1.0)
+        inputs = [cloud.points, cloud.distances, y.points, y.distances,
+                  wv.weights, wy.weights]
+        copies = [a.copy() for a in inputs]
+        union_weights(cloud, y, wv, wy)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
