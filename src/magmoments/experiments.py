@@ -14,10 +14,19 @@ trial's prefix curve in ``curves.npz``, keyed by the config and the
 package version. ``run_prefix_curves`` renders from that store when the
 key matches and reruns only the trials it lacks; the output is
 byte-identical either way.
+
+Trials are independent, so both run them on a pool of forked worker
+processes when the BLAS thread setting leaves at least two cores free:
+workers = cores // BLAS threads per process, capped by the trial count.
+Threads would not help: scipy's LAPACK wrappers hold the GIL. With BLAS
+unpinned (OpenBLAS then takes every core) trials run in-process, one
+after another. Records, warnings, failure lines and files are the same
+either way.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -71,11 +80,26 @@ class ExperimentConfig:
             raise ValueError("volume_fraction must be in (0, 1)")
         if self.trials_per_dim < 1:
             raise ValueError("trials_per_dim must be >= 1")
+        if self.quadrature_order < 1:
+            raise ValueError("quadrature_order must be >= 1")
+        if not isinstance(self.dataset, dict):
+            raise ValueError("dataset must be an object with 'kind' and 'params'")
         seeds = tuple(self.seeds) or tuple(range(self.trials_per_dim))
         if len(seeds) != self.trials_per_dim:
             raise ValueError("seeds must have one entry per trial")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "dims", tuple(self.dims))
+        for dim in self.dims:  # a bad spec raises before any trial runs
+            self._dataset_spec(dim, 0)
+
+    def _dataset_spec(self, dim: int, seed: int) -> DatasetSpec:
+        return DatasetSpec(
+            kind=self.dataset.get("kind", "gaussian-blobs"),
+            count=self.points_per_trial,
+            dim=dim,
+            seed=seed,
+            params=self.dataset.get("params", {}),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -113,14 +137,7 @@ def trial_seed(base: int, dim: int) -> int:
 
 def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord:
     start = time.perf_counter()
-    spec = DatasetSpec(
-        kind=config.dataset.get("kind", "gaussian-blobs"),
-        count=config.points_per_trial,
-        dim=dim,
-        seed=trial_seed(base_seed, dim),
-        params=config.dataset.get("params", {}),
-    )
-    cloud = generate(spec)
+    cloud = generate(config._dataset_spec(dim, trial_seed(base_seed, dim)))
     rule = gauss_laguerre_rule(config.quadrature_order)
     moments = zeroth_moments(cloud, rule, estimate_error=False)
     _check_budget(start)
@@ -147,6 +164,62 @@ def _check_budget(start: float):
         raise TimeoutError(f"trial exceeded {TRIAL_BUDGET:.0f} s budget")
 
 
+def _trial_outcome(config: ExperimentConfig, trial: tuple):
+    """The (dim, seed) trial's record, or the MagnitudeError or TimeoutError
+    it raised."""
+    dim, base_seed = trial
+    try:
+        return run_trial(config, dim, base_seed)
+    except (MagnitudeError, TimeoutError) as exc:
+        return exc
+
+
+def _worker_count(trials: int) -> int:
+    """Processes to run ``trials`` trials on: the cores that BLAS leaves free.
+
+    BLAS threads per process are the first positive integer among the
+    variables below, in the order OpenBLAS reads them; unset, OpenBLAS
+    takes every core, and trials then run in-process (1). So do they where
+    processes cannot be forked.
+    """
+    import multiprocessing  # here, not at the top: CLI start-up skips it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas_threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, min(trials, cores // blas_threads))
+
+
+def _run_trials(config: ExperimentConfig, trials: list[tuple]) -> list:
+    """``_trial_outcome`` of each (dim, seed), in input order.
+
+    A pool of forked workers runs them when ``_worker_count`` allows two
+    or more; otherwise they run here, one after another. Forked workers
+    start with this process's modules loaded, as they are, so they pay no
+    import and run the same code. Any exception other than a trial's
+    MagnitudeError or TimeoutError propagates.
+    """
+    outcome = functools.partial(_trial_outcome, config)
+    workers = _worker_count(len(trials))
+    if workers == 1:
+        return list(map(outcome, trials))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(outcome, trials))
+
+
 def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
     """Summary rows (dim, mean I90, std I90, mean vertices, std vertices).
 
@@ -157,13 +230,13 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
     """
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    for dim in config.dims:
-        for base_seed in config.seeds:
-            try:
-                records.append(run_trial(config, dim, base_seed))
-            except (MagnitudeError, TimeoutError) as exc:
-                warnings.warn(f"trial dim={dim} seed={base_seed} failed: {exc}")
-                failures.append({"dim": dim, "seed": base_seed, "error": str(exc)})
+    trials = [(dim, base_seed) for dim in config.dims for base_seed in config.seeds]
+    for (dim, base_seed), outcome in zip(trials, _run_trials(config, trials)):
+        if isinstance(outcome, TrialRecord):
+            records.append(outcome)
+        else:
+            warnings.warn(f"trial dim={dim} seed={base_seed} failed: {outcome}")
+            failures.append({"dim": dim, "seed": base_seed, "error": str(outcome)})
     records.sort(key=lambda r: (r.dim, r.seed))
     rows = []
     for dim in config.dims:
@@ -254,10 +327,19 @@ def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
     """Per-trial prefix-curve CSVs and SVG plots with the 90% marker.
 
     Curves come from the curve store that ``run_table1`` left in out_dir
-    when its key matches; trials it lacks are run afresh.
+    when its key matches; trials it lacks are run afresh, all before the
+    first file is written. A failed trial raises its error once the files
+    of the trials before it are written.
     Returns the list of written file paths.
     """
     stored = _stored_curves(config, out_dir)
+    missing = [
+        (dim, base_seed)
+        for dim in config.dims
+        for base_seed in config.seeds
+        if f"dim{dim}_seed{base_seed}" not in stored
+    ]
+    fresh = dict(zip(missing, _run_trials(config, missing)))
     curves_dir = os.path.join(out_dir, "curves")
     os.makedirs(curves_dir, exist_ok=True)
     written = []
@@ -266,7 +348,10 @@ def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
             stem = f"dim{dim}_seed{base_seed}"
             curve = stored.get(stem)
             if curve is None:
-                curve = run_trial(config, dim, base_seed).prefix_curve
+                outcome = fresh[(dim, base_seed)]
+                if not isinstance(outcome, TrialRecord):
+                    raise outcome
+                curve = outcome.prefix_curve
             csv_path = os.path.join(curves_dir, stem + ".csv")
             lines = ["i,vol,mag"]
             for i, vol, mag in curve:

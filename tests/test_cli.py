@@ -124,6 +124,25 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "trialsPerDims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({"pointsPerTrial": 0}, id="no-points"),
+        pytest.param({"dims": [0]}, id="dim-0"),
+        pytest.param({"datasetSpec": {"kind": "spiral"}}, id="unknown-kind"),
+        pytest.param({"dims": [3], "datasetSpec": {"kind": "annulus"}}, id="annulus-3d"),
+        pytest.param({"quadratureOrder": 0}, id="order-0"),
+    ],
+)
+def test_malformed_experiment_config_exits_two(tmp_path, config):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"trialsPerDim": 1, "pointsPerTrial": 20, **config}))
+    for experiment in ("table1", "curves"):
+        assert run_cli("experiments", experiment, "--config", str(path),
+                       "--out", str(tmp_path / "results")) == 2
+    assert not (tmp_path / "results").exists()
+
+
 def test_missing_seed_is_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "magmoments.cli", "datagen", "--kind", "blobs",

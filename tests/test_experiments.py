@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import warnings
 
 import pytest
 
 import magmoments
 from magmoments import experiments
-from magmoments.errors import FactorizationFailure
+from magmoments.errors import FactorizationFailure, InvalidSpec
 from magmoments.experiments import (
     CURVE_STORE,
     ExperimentConfig,
@@ -116,6 +119,26 @@ def test_config_validation():
         ExperimentConfig(trials_per_dim=2, seeds=(1,))
 
 
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        pytest.param('{"pointsPerTrial": 0}', InvalidSpec, id="no-points"),
+        pytest.param('{"dims": [2, 0]}', InvalidSpec, id="dim-0"),
+        pytest.param('{"datasetSpec": {"kind": "spiral"}}', InvalidSpec, id="unknown-kind"),
+        pytest.param(
+            '{"dims": [2, 3], "datasetSpec": {"kind": "annulus"}}', InvalidSpec,
+            id="annulus-3d",
+        ),
+        pytest.param('{"quadratureOrder": 0}', ValueError, id="order-0"),
+        pytest.param('{"datasetSpec": "blobs"}', ValueError, id="dataset-not-object"),
+    ],
+)
+def test_config_rejects_malformed_trials_when_built(raw, error):
+    # Each of these once ran every trial to a warning and an empty table.
+    with pytest.raises(error):
+        ExperimentConfig.from_json(raw)
+
+
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="trialsPerDims"):
         ExperimentConfig.from_json('{"dims": [2], "trialsPerDims": 5}')
@@ -163,18 +186,67 @@ def cold_curves(tmp_path_factory):
     return _curve_files(out)
 
 
+class _CallLog:
+    """(dim, seed) of every run_trial call, in this process or a forked
+    worker: one line per call, with the calling process id, appended to a
+    file.
+
+    Calls in a pool's workers overlap in time, so the log reads back in
+    (dim, seed) order, which is the in-process call order of the configs
+    these tests use.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def append(self, dim, base_seed):
+        with open(self.path, "a") as fh:
+            fh.write(f"{dim} {base_seed} {os.getpid()}\n")
+
+    def clear(self):
+        self.path.write_text("")
+
+    def _lines(self):
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+    def calls(self):
+        return sorted(line[:2] for line in self._lines())
+
+    def pids(self):
+        return {line[2] for line in self._lines()}
+
+    def __eq__(self, other):
+        return self.calls() == list(other)
+
+    def __repr__(self):
+        return repr(self.calls())
+
+
 @pytest.fixture
-def trial_calls(monkeypatch):
+def trial_calls(tmp_path, monkeypatch):
     """(dim, seed) of every run_trial call that run_prefix_curves makes."""
-    calls = []
+    calls = _CallLog(tmp_path / "trial_calls.log")
     real = experiments.run_trial
 
     def counted(config, dim, base_seed):
-        calls.append((dim, base_seed))
+        calls.append(dim, base_seed)
         return real(config, dim, base_seed)
 
     monkeypatch.setattr(experiments, "run_trial", counted)
     return calls
+
+
+def _set_workers(monkeypatch, workers):
+    """Two cores, with BLAS threads that leave ``workers`` (1 or 2) of them
+    for trial processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    _set_workers(monkeypatch, 1)
 
 
 def _fail(*args):
@@ -214,7 +286,7 @@ def _garbage_store(cfg, out, monkeypatch):
     (out / CURVE_STORE).write_bytes(b"not a curve store\n" * 64)
 
 
-@pytest.mark.parametrize(
+_STORE_WRITERS = pytest.mark.parametrize(
     "write_store",
     [
         pytest.param(_store_for(trials_per_dim=1, seeds=(1,)), id="other-seeds"),
@@ -225,6 +297,10 @@ def _garbage_store(cfg, out, monkeypatch):
         pytest.param(_garbage_store, id="garbage"),
     ],
 )
+
+
+@pytest.mark.usefixtures("in_process")
+@_STORE_WRITERS
 def test_mismatched_curve_store_is_ignored(
     tmp_path, monkeypatch, cold_curves, trial_calls, write_store
 ):
@@ -236,6 +312,18 @@ def test_mismatched_curve_store_is_ignored(
     assert _curve_files(tmp_path) == cold_curves
 
 
+@_STORE_WRITERS
+def test_mismatched_curve_store_is_ignored_in_a_pool(
+    tmp_path, monkeypatch, cold_curves, trial_calls, write_store
+):
+    _set_workers(monkeypatch, 2)
+    test_mismatched_curve_store_is_ignored(
+        tmp_path, monkeypatch, cold_curves, trial_calls, write_store
+    )
+    assert os.getpid() not in trial_calls.pids()  # the trials ran in workers
+
+
+@pytest.mark.usefixtures("in_process")
 def test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_calls):
     cfg = _store_config()
     real = experiments.run_trial
@@ -256,3 +344,122 @@ def test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_ca
     run_prefix_curves(cfg, str(tmp_path))
     assert trial_calls == [(3, 1)]
     assert _curve_files(tmp_path) == cold_curves
+
+
+def test_failed_trial_is_not_stored_in_a_pool(tmp_path, monkeypatch, cold_curves, trial_calls):
+    _set_workers(monkeypatch, 2)
+    test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_calls)
+
+
+def test_worker_count_leaves_the_cores_blas_takes(monkeypatch):
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    # (cores, BLAS environment, trials, workers)
+    cases = [
+        (2, {}, 80, 1),  # unset: OpenBLAS takes every core
+        (8, {}, 80, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 80, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 80, 8),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 80, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "3"}, 80, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 80, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # capped by the trials
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
+        (8, {"OMP_NUM_THREADS": "2"}, 80, 4),
+        (8, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 80, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "8", "GOTO_NUM_THREADS": "1"}, 80, 1),
+        # Not a positive integer: the next variable decides.
+        (8, {"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "2"}, 80, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "-2"}, 80, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1.5"}, 80, 1),
+        (8, {"OPENBLAS_NUM_THREADS": " 2 "}, 80, 4),
+    ]
+    for cores, env, trials, want in cases:
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+            for var in blas_vars:
+                m.delenv(var, raising=False)
+            for var, value in env.items():
+                m.setenv(var, value)
+            got = experiments._worker_count(trials)
+        assert got == want, (cores, env, trials, got)
+    with monkeypatch.context() as m:
+        m.delattr(os, "sched_getaffinity", raising=False)
+        m.setattr(os, "cpu_count", lambda: 4)
+        m.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert experiments._worker_count(80) == 4
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert experiments._worker_count(80) == 1
+
+
+def _host_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _outputs(out_dir):
+    """Every file under out_dir, trials.jsonl without its wall times."""
+    files = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        name = str(path.relative_to(out_dir))
+        files[name] = path.read_bytes()
+        if path.name == "trials.jsonl":
+            files[name] = [json.loads(line) for line in files[name].splitlines()]
+            for record in files[name]:
+                record.pop("wallTime", None)
+    return files
+
+
+@pytest.mark.skipif(_host_cores() < 2, reason="a trial pool needs at least 2 cores")
+def test_pool_and_in_process_outputs_are_byte_identical(tmp_path, monkeypatch):
+    cfg = _store_config()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    outputs = {}
+    for blas_threads in (None, "1"):
+        if blas_threads:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        pooled = experiments._worker_count(len(cfg.dims) * len(cfg.seeds)) >= 2
+        assert pooled == (blas_threads == "1")
+        cold, warm = tmp_path / f"cold-{pooled}", tmp_path / f"warm-{pooled}"
+        run_prefix_curves(cfg, str(cold))
+        run_table1(cfg, str(warm))
+        run_prefix_curves(cfg, str(warm))
+        outputs[pooled] = (_outputs(cold), _outputs(warm))
+    assert outputs[True] == outputs[False]
+    assert len(outputs[True][1]) == 3 + 2 * len(cfg.dims) * len(cfg.seeds)
+
+
+def _fails_on_dim3_seed0(real):
+    def run_trial(config, dim, base_seed):
+        if (dim, base_seed) == (3, 0):
+            raise FactorizationFailure("injected")
+        return real(config, dim, base_seed)
+
+    return run_trial
+
+
+def test_trial_failing_in_a_worker_matches_in_process(tmp_path, monkeypatch):
+    cfg = _store_config()
+    monkeypatch.setattr(experiments, "run_trial", _fails_on_dim3_seed0(run_trial))
+    seen = {}
+    for workers in (1, 2):
+        _set_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_table1(cfg, str(out / "table1"))
+        with pytest.raises(FactorizationFailure, match="injected"):
+            run_prefix_curves(cfg, str(out / "curves"))
+        seen[workers] = ([str(w.message) for w in caught], _outputs(out))
+    assert seen[1] == seen[2]
+    messages, files = seen[2]
+    assert messages == ["trial dim=3 seed=0 failed: injected"]
+    assert files["table1/trials.jsonl"][-1] == {
+        "failure": {"dim": 3, "seed": 0, "error": "injected"}
+    }
+    # curves wrote the dim-2 trials, then raised at (3, 0).
+    assert sorted(name for name in files if name.startswith("curves/")) == [
+        f"curves/curves/dim2_seed{s}.{ext}" for s in (0, 1) for ext in ("csv", "svg")
+    ]
