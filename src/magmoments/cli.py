@@ -152,9 +152,9 @@ def _cmd_weights(args) -> int:
 
 def _cmd_moments(args) -> int:
     cloud = _load_cloud(args.input)
+    wv = weights_at_scale(cloud, args.t)  # rejects a bad --t before the node loop
     rule = gauss_laguerre_rule(args.order)
     mv = zeroth_moments(cloud, rule, estimate_error=False)
-    wv = weights_at_scale(cloud, args.t)
     header = [f"x{i}" for i in range(cloud.dim)] + ["w", "mu0", "log1p_mu0"]
     lines = [",".join(header)]
     log_mu = np.log1p(mv.mu0)

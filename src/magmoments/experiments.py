@@ -16,12 +16,11 @@ key matches and reruns only the trials it lacks; the output is
 byte-identical either way.
 
 Trials are independent, so both run them on a pool of forked worker
-processes when the BLAS thread setting leaves at least two cores free:
-workers = cores // BLAS threads per process, capped by the trial count.
-Threads would not help: scipy's LAPACK wrappers hold the GIL. With BLAS
-unpinned (OpenBLAS then takes every core) trials run in-process, one
-after another. Records, warnings, failure lines and files are the same
-either way.
+processes when the BLAS thread setting leaves at least two cores free
+(``parallel.worker_count``, capped by the trial count); each trial then
+solves its quadrature nodes in-line. With BLAS unpinned (OpenBLAS then
+takes every core) trials run in-process, one after another. Records,
+warnings, failure lines and files are the same either way.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .errors import MagnitudeError
 from .hull_exact import convex_hull
 from .hull_filter import moment_prefix_curve
 from .moments import gauss_laguerre_rule, zeroth_moments
+from .parallel import fork_pool, worker_count
 
 FLOAT_FMT = "%.17g"
 
@@ -174,49 +174,18 @@ def _trial_outcome(config: ExperimentConfig, trial: tuple):
         return exc
 
 
-def _worker_count(trials: int) -> int:
-    """Processes to run ``trials`` trials on: the cores that BLAS leaves free.
-
-    BLAS threads per process are the first positive integer among the
-    variables below, in the order OpenBLAS reads them; unset, OpenBLAS
-    takes every core, and trials then run in-process (1). So do they where
-    processes cannot be forked.
-    """
-    import multiprocessing  # here, not at the top: CLI start-up skips it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    blas_threads = cores
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return max(1, min(trials, cores // blas_threads))
-
-
 def _run_trials(config: ExperimentConfig, trials: list[tuple]) -> list:
     """``_trial_outcome`` of each (dim, seed), in input order.
 
-    A pool of forked workers runs them when ``_worker_count`` allows two
-    or more; otherwise they run here, one after another. Forked workers
-    start with this process's modules loaded, as they are, so they pay no
-    import and run the same code. Any exception other than a trial's
-    MagnitudeError or TimeoutError propagates.
+    A pool of forked workers runs them when ``worker_count`` allows two
+    or more; otherwise they run here, one after another. Any exception
+    other than a trial's MagnitudeError or TimeoutError propagates.
     """
     outcome = functools.partial(_trial_outcome, config)
-    workers = _worker_count(len(trials))
+    workers = worker_count(len(trials))
     if workers == 1:
         return list(map(outcome, trials))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with fork_pool(workers) as pool:
         return list(pool.map(outcome, trials))
 
 

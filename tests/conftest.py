@@ -1,3 +1,4 @@
+import os
 import re
 import sys
 from pathlib import Path
@@ -21,6 +22,21 @@ def cholesky_calls(monkeypatch):
 
     monkeypatch.setattr(magnitude, "_cholesky_lower", counted)
     return calls
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """``set_workers(w)``: two cores, with BLAS threads that leave w (1 or
+    2) of them for pool processes, and the node pool's size floor lowered
+    to two points, so that small clouds take the pool path."""
+    from magmoments import moments
+
+    def set_(workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
+        monkeypatch.setattr(moments, "POOL_FLOOR", 2)
+
+    return set_
 
 # Acceptance tests are named test_criterion_<NN>[suffix]_<slug>; the hook
 # below folds their outcomes into one PASS/FAIL line per criterion.

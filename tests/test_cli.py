@@ -1,12 +1,13 @@
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from magmoments import PointCloud, weights_at_scale
+from magmoments import FactorizationFailure, PointCloud, cli, moments, weights_at_scale
 from magmoments.cli import main
 
 
@@ -57,6 +58,38 @@ def test_moments_columns(blob_csv, tmp_path):
     row = [float(v) for v in lines[1].split(",")]
     mu0, log_mu0 = row[-2], row[-1]
     assert log_mu0 == pytest.approx(math.log1p(mu0), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", ["0", "nan", "-1"])
+def test_moments_rejects_bad_scale_before_the_node_loop(
+    blob_csv, tmp_path, monkeypatch, capsys, t
+):
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the node loop ran")
+
+    monkeypatch.setattr(cli, "zeroth_moments", no_loop)
+    assert run_cli("moments", "--input", str(blob_csv), "--t", t,
+                   "--out", str(tmp_path / "m.csv")) == 2
+    assert "scale t must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_node_failure_in_a_pool_exits_one(blob_csv, tmp_path, monkeypatch, capsys,
+                                          set_workers):
+    set_workers(2)
+    real = moments.weights_at_scale
+
+    def fails_past_t1(cloud, t):
+        if t > 1:
+            raise FactorizationFailure("injected")
+        return real(cloud, t)
+
+    monkeypatch.setattr(moments, "weights_at_scale", fails_past_t1)
+    for command in (["moments"], ["hull-approx", "--epsilon", "0.5"]):
+        assert run_cli(*command, "--input", str(blob_csv),
+                       "--out", str(tmp_path / "out")) == 1
+        assert "FactorizationFailure: at quadrature node t=" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 def test_magfn_matches_library(blob_csv, tmp_path, capsys):

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import magmoments
-from magmoments import experiments
+from magmoments import experiments, moments
 from magmoments.errors import FactorizationFailure, InvalidSpec
 from magmoments.experiments import (
     CURVE_STORE,
@@ -17,6 +17,7 @@ from magmoments.experiments import (
     run_trial,
     trial_seed,
 )
+from magmoments.parallel import worker_count
 
 
 def _tiny_config(**overrides):
@@ -237,16 +238,9 @@ def trial_calls(tmp_path, monkeypatch):
     return calls
 
 
-def _set_workers(monkeypatch, workers):
-    """Two cores, with BLAS threads that leave ``workers`` (1 or 2) of them
-    for trial processes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
-
-
 @pytest.fixture
-def in_process(monkeypatch):
-    _set_workers(monkeypatch, 1)
+def in_process(set_workers):
+    set_workers(1)
 
 
 def _fail(*args):
@@ -314,9 +308,9 @@ def test_mismatched_curve_store_is_ignored(
 
 @_STORE_WRITERS
 def test_mismatched_curve_store_is_ignored_in_a_pool(
-    tmp_path, monkeypatch, cold_curves, trial_calls, write_store
+    tmp_path, monkeypatch, cold_curves, trial_calls, write_store, set_workers
 ):
-    _set_workers(monkeypatch, 2)
+    set_workers(2)
     test_mismatched_curve_store_is_ignored(
         tmp_path, monkeypatch, cold_curves, trial_calls, write_store
     )
@@ -346,50 +340,11 @@ def test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_ca
     assert _curve_files(tmp_path) == cold_curves
 
 
-def test_failed_trial_is_not_stored_in_a_pool(tmp_path, monkeypatch, cold_curves, trial_calls):
-    _set_workers(monkeypatch, 2)
+def test_failed_trial_is_not_stored_in_a_pool(
+    tmp_path, monkeypatch, cold_curves, trial_calls, set_workers
+):
+    set_workers(2)
     test_failed_trial_is_not_stored(tmp_path, monkeypatch, cold_curves, trial_calls)
-
-
-def test_worker_count_leaves_the_cores_blas_takes(monkeypatch):
-    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    # (cores, BLAS environment, trials, workers)
-    cases = [
-        (2, {}, 80, 1),  # unset: OpenBLAS takes every core
-        (8, {}, 80, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 80, 2),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 80, 8),
-        (8, {"OPENBLAS_NUM_THREADS": "2"}, 80, 4),
-        (8, {"OPENBLAS_NUM_THREADS": "3"}, 80, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "4"}, 80, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # capped by the trials
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
-        (8, {"OMP_NUM_THREADS": "2"}, 80, 4),
-        (8, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 80, 2),
-        (8, {"OPENBLAS_NUM_THREADS": "8", "GOTO_NUM_THREADS": "1"}, 80, 1),
-        # Not a positive integer: the next variable decides.
-        (8, {"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "2"}, 80, 4),
-        (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "-2"}, 80, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1.5"}, 80, 1),
-        (8, {"OPENBLAS_NUM_THREADS": " 2 "}, 80, 4),
-    ]
-    for cores, env, trials, want in cases:
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-            for var in blas_vars:
-                m.delenv(var, raising=False)
-            for var, value in env.items():
-                m.setenv(var, value)
-            got = experiments._worker_count(trials)
-        assert got == want, (cores, env, trials, got)
-    with monkeypatch.context() as m:
-        m.delattr(os, "sched_getaffinity", raising=False)
-        m.setattr(os, "cpu_count", lambda: 4)
-        m.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert experiments._worker_count(80) == 4
-        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert experiments._worker_count(80) == 1
 
 
 def _host_cores():
@@ -420,7 +375,7 @@ def test_pool_and_in_process_outputs_are_byte_identical(tmp_path, monkeypatch):
     for blas_threads in (None, "1"):
         if blas_threads:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-        pooled = experiments._worker_count(len(cfg.dims) * len(cfg.seeds)) >= 2
+        pooled = worker_count(len(cfg.dims) * len(cfg.seeds)) >= 2
         assert pooled == (blas_threads == "1")
         cold, warm = tmp_path / f"cold-{pooled}", tmp_path / f"warm-{pooled}"
         run_prefix_curves(cfg, str(cold))
@@ -440,12 +395,12 @@ def _fails_on_dim3_seed0(real):
     return run_trial
 
 
-def test_trial_failing_in_a_worker_matches_in_process(tmp_path, monkeypatch):
+def test_trial_failing_in_a_worker_matches_in_process(tmp_path, monkeypatch, set_workers):
     cfg = _store_config()
     monkeypatch.setattr(experiments, "run_trial", _fails_on_dim3_seed0(run_trial))
     seen = {}
     for workers in (1, 2):
-        _set_workers(monkeypatch, workers)
+        set_workers(workers)
         out = tmp_path / f"workers{workers}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -463,3 +418,34 @@ def test_trial_failing_in_a_worker_matches_in_process(tmp_path, monkeypatch):
     assert sorted(name for name in files if name.startswith("curves/")) == [
         f"curves/curves/dim2_seed{s}.{ext}" for s in (0, 1) for ext in ("csv", "svg")
     ]
+
+
+def test_trial_workers_solve_their_nodes_in_line(tmp_path, monkeypatch, set_workers):
+    # Pools do not nest: every node of a trial is solved in the one worker
+    # process that runs the trial, though its cloud is above the node
+    # pool's size floor.
+    set_workers(2)
+    node_calls = _CallLog(tmp_path / "node_calls.log")
+    trial = []
+    real_trial, real_weights = experiments.run_trial, moments.weights_at_scale
+
+    def run_trial(config, dim, base_seed):
+        trial[:] = [dim, base_seed]
+        return real_trial(config, dim, base_seed)
+
+    def weights_at_scale(cloud, t):
+        node_calls.append(*trial)
+        return real_weights(cloud, t)
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial)
+    monkeypatch.setattr(moments, "weights_at_scale", weights_at_scale)
+    cfg = _store_config()
+    assert cfg.points_per_trial >= moments.POOL_FLOOR
+    run_table1(cfg)
+    pids = {}
+    for dim, base_seed, pid in node_calls._lines():
+        pids.setdefault((dim, base_seed), set()).add(pid)
+    assert sorted(pids) == [(d, s) for d in cfg.dims for s in cfg.seeds]
+    assert all(len(trial_pids) == 1 for trial_pids in pids.values())
+    assert os.getpid() not in set().union(*pids.values())
+    assert multiprocessing.active_children() == []
