@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .geometry import DUPLICATE_TOL, PointCloud, pairwise_distances
+from .errors import DuplicatePoints, InvalidSpec
+from .geometry import PointCloud
 
 KINDS = ("annulus", "square", "noisy-moons", "gaussian-blobs")
 
@@ -106,19 +106,18 @@ def _sample(rng, spec: DatasetSpec, n: int) -> np.ndarray:
 
 
 def generate(spec: DatasetSpec) -> PointCloud:
-    """Generate a duplicate-free cloud deterministically from the spec."""
+    """Generate a duplicate-free cloud deterministically from the spec.
+
+    The returned cloud keeps the distance matrix of its duplicate check.
+    """
     rng = np.random.default_rng(spec.seed)
     pts = _sample(rng, spec, spec.count)
     for _ in range(100):
         cloud = PointCloud(pts)
-        dup = _duplicate_rows(cloud)
-        if not dup:
+        try:
+            cloud.distances
+        except DuplicatePoints as exc:
+            pts[list(exc.rows)] = _sample(rng, spec, len(exc.rows))
+        else:
             return cloud
-        pts[list(dup)] = _sample(rng, spec, len(dup))
     raise InvalidSpec("could not generate duplicate-free points")
-
-
-def _duplicate_rows(cloud: PointCloud) -> set:
-    """Later index of every pair closer than DUPLICATE_TOL."""
-    ii, jj = np.where(pairwise_distances(cloud) < DUPLICATE_TOL)
-    return {int(j) for i, j in zip(ii, jj) if j > i}

@@ -13,8 +13,13 @@ class DuplicatePoints(MagnitudeError):
     """Two points coincide within the duplicate tolerance.
 
     Duplicate points make the similarity matrix numerically singular, so
-    they are rejected instead of silently deduplicated.
+    they are rejected instead of silently deduplicated. ``rows`` holds the
+    later index of every pair closer than the tolerance.
     """
+
+    def __init__(self, message: str, rows: tuple = ()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class FactorizationFailure(MagnitudeError):

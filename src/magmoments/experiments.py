@@ -7,7 +7,8 @@ the smallest prefix size whose hull reaches the configured fraction
 (default 90%) of the full hull volume.
 
 Every trial is fully determined by (dim, trial seed): rerunning an
-identical config reproduces every record bit-exactly.
+identical config at a given BLAS thread setting reproduces every record
+bit-exactly.
 
 Given an output directory, ``run_table1`` also stores every successful
 trial's prefix curve in ``curves.npz``, keyed by the config and the
@@ -41,7 +42,7 @@ from .errors import MagnitudeError
 from .hull_exact import convex_hull
 from .hull_filter import moment_prefix_curve
 from .moments import gauss_laguerre_rule, zeroth_moments
-from .parallel import fork_pool, worker_count
+from .parallel import ordered_map, worker_count
 
 FLOAT_FMT = "%.17g"
 
@@ -182,11 +183,8 @@ def _run_trials(config: ExperimentConfig, trials: list[tuple]) -> list:
     other than a trial's MagnitudeError or TimeoutError propagates.
     """
     outcome = functools.partial(_trial_outcome, config)
-    workers = worker_count(len(trials))
-    if workers == 1:
-        return list(map(outcome, trials))
-    with fork_pool(workers) as pool:
-        return list(pool.map(outcome, trials))
+    with ordered_map(outcome, trials, worker_count(len(trials))) as outcomes:
+        return list(outcomes)
 
 
 def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:

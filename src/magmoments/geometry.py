@@ -62,18 +62,23 @@ class PointCloud:
     def distances(self) -> np.ndarray:
         """Read-only Euclidean distance matrix, computed once per cloud.
 
-        Raises DuplicatePoints if two points are closer than DUPLICATE_TOL.
+        Raises DuplicatePoints if two points are closer than DUPLICATE_TOL;
+        the error names the closest pair and carries the later index of
+        every close pair, which ``datagen.generate`` resamples.
         """
         dist = pairwise_distances(self)
         np.fill_diagonal(dist, np.inf)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         nearest = dist[i, j]
-        np.fill_diagonal(dist, 0.0)
         if nearest < DUPLICATE_TOL:
+            ii, jj = np.nonzero(dist < DUPLICATE_TOL)
+            rows = {int(b) for a, b in zip(ii, jj) if b > a}
             raise DuplicatePoints(
                 f"points {i} and {j} are {nearest:.3e} apart "
-                f"(tolerance {DUPLICATE_TOL:g})"
+                f"(tolerance {DUPLICATE_TOL:g})",
+                tuple(rows),
             )
+        np.fill_diagonal(dist, 0.0)
         dist.setflags(write=False)
         return dist
 

@@ -34,16 +34,15 @@ node is solved.
 
 When the BLAS thread setting leaves two or more cores free
 (``parallel.worker_count``), a cloud of POOL_FLOOR points or more has its
-nodes solved on forked worker processes as well as here, a few nodes
-ahead of the loop. The loop, the cut and the sums stay in this process,
-in node order, so every result is bit-identical whatever the worker
-count.
+nodes solved on forked worker processes, a few nodes ahead of the loop
+(``parallel.ordered_map``). The loop, the cut and the sums stay in this
+process, in node order, so every result is bit-identical whatever the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .errors import FactorizationFailure, QuadratureDivergence
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
 from .geometry import PointCloud, _similarity_entries, pairwise_distances  # noqa: F401
 from .magnitude import weights_at_scale
-from .parallel import fork_pool, worker_count
+from .parallel import ordered_map, worker_count
 
 #: The tail cut's certificate is first tried when the lambda_min it needs,
 #: sigma_k above, falls to this (a unit diagonal puts lambda_min at most 1);
@@ -65,12 +64,14 @@ TAIL_CUT_START = 0.125
 DEFAULT_ORDER = 64
 
 #: Fewest points for which one cloud's nodes are solved on a process pool.
-#: Pool start-up, IPC and shut-down cost about 35 ms per node loop. Medians
-#: of 7 zeroth_moments calls (GL-64, 2-D annulus) in-line vs on 2 processes
-#: (2-vCPU host, BLAS at one thread): 38 vs 56 ms at N=300, 65 vs 66 ms at
-#: N=400, 123 vs 96 ms at N=500, 184 vs 139 ms at N=600, 743 vs 455 ms at
-#: N=1000.
-POOL_FLOOR = 500
+#: Pool start-up, IPC and shut-down cost about 40 ms per node loop. Medians
+#: of 7 zeroth_moments calls (GL-64, 2-D annulus), in-line vs on 2 forked
+#: processes (2-vCPU host, BLAS at one thread), ranges over 2-5 sets:
+#: 35-36 vs 54-59 ms at N=300, 55-63 vs 72-77 at N=400, 88-109 vs 95-106 at
+#: N=500, 133-171 vs 125-141 at N=600 (pooled faster in 4 of 5 sets),
+#: 198-260 vs 161-183 at N=700, 316-321 vs 219-244 at N=800 and 630-684 vs
+#: 377 at N=1000.
+POOL_FLOOR = 600
 
 #: Relative change on order doubling beyond which the rule is rejected.
 DIVERGENCE_TOL = 1e-4
@@ -163,7 +164,12 @@ def _node_weights(
     acc = np.zeros(n if power == 2 else 1)
     attempt = TAIL_CUT_START
     rows = []
-    with _node_solves(cloud, rule.nodes) as solve:
+    workers = worker_count(rule.order) if n >= POOL_FLOOR else 1
+
+    def solve(t):  # the cloud, with its distances, reaches workers by fork
+        return weights_at_scale(cloud, t).weights
+
+    with ordered_map(solve, rule.nodes, workers) as solved:
         for k, t in enumerate(rule.nodes):
             # sigma_k ** power = need / floor, compared before dividing.
             need = tail[k] * n / u
@@ -175,71 +181,12 @@ def _node_weights(
                     break
                 attempt = sigma / 16
             try:
-                w = solve(k)
+                w = next(solved)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(f"at quadrature node t={t}: {exc}") from exc
             rows.append(w)
             acc += weighted[k] * (w**2 if power == 2 else w.sum())
     return np.vstack(rows)
-
-
-@contextmanager
-def _node_solves(cloud: PointCloud, nodes: np.ndarray):
-    """``solve(k)``: w_{t_k}(x) for the cloud, asked for in node order.
-
-    In-line, each call solves its node. When ``worker_count`` allows
-    workers >= 2 and the cloud has POOL_FLOOR points or more, each call
-    puts nodes k to k + workers - 1 in flight: node j on one of workers - 1
-    forked processes when j % workers != 0, else here while they run.
-    Nodes past a cut that the caller then makes are discarded unread, so a
-    failure there raises nothing. A node's weights, or its error, are the
-    same either way. Every exit shuts the pool down.
-    """
-    workers = worker_count(len(nodes)) if cloud.size >= POOL_FLOOR else 1
-    if workers == 1:
-        yield lambda k: weights_at_scale(cloud, nodes[k]).weights
-        return
-    from concurrent.futures import Future
-
-    def here(t):
-        future = Future()
-        try:
-            future.set_result(weights_at_scale(cloud, t).weights)
-        except Exception as exc:  # raised only if the caller reads this node
-            future.set_exception(exc)
-        return future
-
-    # The cloud, with its distances, reaches the workers by fork.
-    pool = fork_pool(workers - 1, initializer=_adopt_cloud, initargs=(cloud,))
-    in_flight = {}
-
-    def solve(k):
-        window = range(k, min(k + workers, len(nodes)))
-        for j in window:
-            if j % workers and j not in in_flight:
-                in_flight[j] = pool.submit(_pool_weights, nodes[j])
-        for j in window:
-            if j not in in_flight:
-                in_flight[j] = here(nodes[j])
-        return in_flight.pop(k).result()
-
-    try:
-        yield solve
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-#: The cloud of a node pool's worker process, set there by _adopt_cloud.
-_pool_cloud = None
-
-
-def _adopt_cloud(cloud: PointCloud) -> None:
-    global _pool_cloud
-    _pool_cloud = cloud
-
-
-def _pool_weights(t: float) -> np.ndarray:
-    return weights_at_scale(_pool_cloud, t).weights
 
 
 def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:

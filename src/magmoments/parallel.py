@@ -1,16 +1,20 @@
 """Worker processes on the cores that BLAS leaves idle.
 
-One policy sizes both parallel loops, the experiment trials and one
-cloud's quadrature nodes: workers = cores // BLAS threads per process.
-Threads would not help: scipy's LAPACK wrappers hold the GIL through the
-Cholesky factorization, while processes overlap it. Pools do not nest: a
-process that is itself a pool worker runs its work in-line.
+Both parallel loops, the experiment trials and one cloud's quadrature
+nodes, run on ``ordered_map``, sized by one policy: workers = cores //
+BLAS threads per process. Threads would not help: scipy's LAPACK
+wrappers hold the GIL through the Cholesky factorization, while
+processes overlap it. Pools do not nest: a process that is itself a pool
+worker runs its work in-line.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
+from contextlib import contextmanager
+from itertools import islice
 
 
 def worker_count(tasks: int) -> int:
@@ -44,19 +48,57 @@ def worker_count(tasks: int) -> int:
     return max(1, min(tasks, cores // blas_threads))
 
 
-def fork_pool(workers: int, initializer=None, initargs=()):
-    """A process pool of ``workers`` forked workers.
+@contextmanager
+def ordered_map(func, items, workers: int):
+    """``func(item)`` for each item, yielded lazily and in item order.
 
-    Forked workers start with this process's modules and data as they are
-    at the first submit, so they pay no import, run the same code, and
-    take ``initargs`` without pickling. ``worker_count`` allows a pool
-    only in a process without other threads, and with BLAS at one thread
-    OpenBLAS starts none either.
+    With one worker this is the builtin ``map``. Otherwise ``workers``
+    forked processes run ``func``, which reaches them by fork through the
+    pool's initializer and is never pickled, so it may be any callable;
+    each task sends one item and returns one result. Item k + workers - 1
+    is submitted when item k is requested, so at most workers - 1 items
+    start past the one where the reader stops; their results and errors
+    are discarded unread. An item's error is raised when that item is
+    read. Every exit waits for the workers and cancels what they have not
+    started. Fork is safe with a count from ``worker_count``, which allows
+    a pool only in a process without other threads; with BLAS at one
+    thread OpenBLAS starts none either.
     """
+    if workers == 1:
+        yield map(func, items)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(
-        workers, mp_context=context, initializer=initializer, initargs=initargs
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(func,),
     )
+    try:
+        yield _read_ahead(pool, iter(items), workers - 1)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _read_ahead(pool, items, ahead: int):
+    pending = deque(pool.submit(_call, item) for item in islice(items, ahead))
+    for item in items:
+        pending.append(pool.submit(_call, item))
+        yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+#: ``ordered_map``'s function in a pool worker, set there by ``_adopt``.
+_func = None
+
+
+def _adopt(func) -> None:
+    global _func
+    _func = func
+
+
+def _call(item):
+    return _func(item)

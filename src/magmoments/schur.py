@@ -66,15 +66,21 @@ def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplemen
     a = sim.entries
     p = np.asarray(split.removed, dtype=np.intp)
     pbar = np.asarray(split.kept, dtype=np.intp)
-    a_p = a[np.ix_(p, p)]
-    cross = a[np.ix_(p, pbar)]
-    lower = _cholesky_lower(a[np.ix_(pbar, pbar)])
-    solved = scipy.linalg.cho_solve((lower, True), cross.T, check_finite=False)
-    s = a_p - cross @ solved
-    s = 0.5 * (s + s.T)
+    s = _block_complement(a[np.ix_(p, p)], a[np.ix_(p, pbar)], a[np.ix_(pbar, pbar)])
     s_lower = _cholesky_lower(s.copy())  # the factor overwrites its argument
     det = float(np.prod(np.diag(s_lower)) ** 2)
     return SchurComplement(s, det)
+
+
+def _block_complement(a_p, cross, a_pbar) -> np.ndarray:
+    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T, symmetrized.
+
+    ``cross`` is A_{P,Pbar}; ``a_pbar`` is factored in place, so pass an
+    array the caller gives up.
+    """
+    lower = _cholesky_lower(a_pbar)
+    s = a_p - cross @ scipy.linalg.cho_solve((lower, True), cross.T, check_finite=False)
+    return 0.5 * (s + s.T)
 
 
 def restricted_magnitude(
@@ -186,21 +192,15 @@ def union_weights(
 
     if nw:
         # The factors overwrite their arguments: hand over copies of the blocks.
-        lower_y = _cholesky_lower(a[nw:, nw:].copy())
-        schur_w = a[:nw, :nw] - a_wy @ scipy.linalg.cho_solve(
-            (lower_y, True), a_wy.T, check_finite=False
-        )
+        schur_w = _block_complement(a[:nw, :nw], a_wy, a[nw:, nw:].copy())
         wz_w = scipy.linalg.cho_solve(
-            (_cholesky_lower(0.5 * (schur_w + schur_w.T)), True),
+            (_cholesky_lower(schur_w), True),
             np.ones(nw) - a_wy @ w_y,
             check_finite=False,
         )
-        lower_w = _cholesky_lower(a[:nw, :nw].copy())
-        schur_y = a[nw:, nw:] - a_wy.T @ scipy.linalg.cho_solve(
-            (lower_w, True), a_wy, check_finite=False
-        )
+        schur_y = _block_complement(a[nw:, nw:], a_wy.T, a[:nw, :nw].copy())
         wz_y = scipy.linalg.cho_solve(
-            (_cholesky_lower(0.5 * (schur_y + schur_y.T)), True),
+            (_cholesky_lower(schur_y), True),
             np.ones(ny) - a_wy.T @ w_w,
             check_finite=False,
         )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from magmoments import DatasetSpec, InvalidSpec, generate
+import oracles
+from magmoments import DUPLICATE_TOL, DatasetSpec, InvalidSpec, datagen, generate
 
 
 def test_determinism_bit_exact():
@@ -76,3 +77,31 @@ def test_invalid_specs():
         DatasetSpec("square", 0, 2, seed=0)
     with pytest.raises(InvalidSpec):
         generate(DatasetSpec("annulus", 10, 2, seed=0, params={"inner": 2.0}))
+
+
+def test_forced_collisions_resample_the_same_rows(monkeypatch):
+    real = datagen._sample
+    calls = []
+
+    def sample(rng, spec, n):
+        pts = real(rng, spec, n)
+        if not calls:  # rows 5, 13 and 40 copy earlier rows
+            pts[[5, 13, 40]] = pts[[1, 2, 3]]
+        calls.append(n)
+        return pts
+
+    monkeypatch.setattr(datagen, "_sample", sample)
+    spec = DatasetSpec("square", 60, 2, seed=11)
+    cloud = generate(spec)
+    assert calls == [60, 3]
+    assert "distances" in vars(cloud)  # the duplicate check's matrix is kept
+    # Reference: the later index of each close pair, collected in a set in
+    # row-major pair order, takes the new samples in the set's order.
+    calls.clear()
+    rng = np.random.default_rng(spec.seed)
+    pts = sample(rng, spec, spec.count)
+    ii, jj = np.nonzero(oracles.double_loop_distances(pts) < DUPLICATE_TOL)
+    rows = list({int(j) for i, j in zip(ii, jj) if j > i})
+    assert rows != sorted(rows)  # so the order is tested
+    pts[rows] = sample(rng, spec, len(rows))
+    assert np.array_equal(cloud.points, pts)

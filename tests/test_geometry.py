@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -159,3 +160,17 @@ def test_subset_preserves_order():
     cloud = PointCloud(np.arange(10.0).reshape(5, 2))
     sub = cloud.subset([3, 1])
     assert np.array_equal(sub.points, cloud.points[[3, 1]])
+
+
+def test_duplicate_error_carries_every_later_row_and_pickles():
+    pts = np.arange(20.0).reshape(10, 2)
+    pts[4] = pts[1] + DUPLICATE_TOL / 10
+    pts[7] = pts[2]
+    pts[9] = pts[1]
+    with pytest.raises(DuplicatePoints) as info:
+        PointCloud(pts).distances
+    exc = info.value
+    assert sorted(exc.rows) == [4, 7, 9]  # pairs (1, 4), (1, 9), (2, 7), (4, 9)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is DuplicatePoints
+    assert (str(copy), copy.rows) == (str(exc), exc.rows)

@@ -1,6 +1,9 @@
+import contextlib
 import multiprocessing
 import os
+import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from magmoments.moments import (
     magnitude_moment,
     zeroth_moments,
 )
-from magmoments.parallel import worker_count
+from magmoments.parallel import ordered_map, worker_count
 
 
 def test_worker_count_leaves_the_cores_blas_takes(monkeypatch):
@@ -73,6 +76,75 @@ def test_no_pool_from_a_process_running_threads(monkeypatch):
         thread.join(10)
     assert not thread.is_alive()
     assert worker_count(80) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_yields_in_item_order_from_a_closure(workers):
+    offset = 100
+
+    def func(x):  # a closure, which pickle cannot send
+        time.sleep(0.01 * (6 - x))  # pooled, later items finish first
+        return x + offset, os.getpid()
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(func)
+    with ordered_map(func, range(6), workers) as results:
+        got = list(results)
+    assert [value for value, _ in got] == [x + offset for x in range(6)]
+    assert ({pid for _, pid in got} == {os.getpid()}) == (workers == 1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_raises_an_items_error_when_it_is_read(workers):
+    def func(x):
+        if x == 3:
+            raise ValueError(f"item {x}")
+        return x
+
+    with ordered_map(func, range(6), workers) as results:
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="item 3"):
+            next(results)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("stop", [0, 1, 4])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_starts_few_items_past_the_reader(tmp_path, workers, stop):
+    # Items from ``stop`` on fail, but the reader never gets to them.
+    log = tmp_path / "started.log"
+    log.write_text("")
+
+    def func(x):
+        with open(log, "a") as fh:
+            fh.write(f"{x}\n")
+        if x >= stop:
+            raise ValueError(f"item {x}")
+        return x
+
+    with ordered_map(func, range(10), workers) as results:
+        assert [next(results) for _ in range(stop)] == list(range(stop))
+    started = sorted(int(x) for x in log.read_text().split())
+    assert started == list(range(len(started)))
+    assert stop <= len(started) <= stop + workers - 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("how", ["end", "break", "raise"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_leaves_no_child_process(workers, how):
+    read = []
+    with contextlib.suppress(KeyError):
+        with ordered_map(lambda x: x, range(8), workers) as results:
+            for x in results:
+                read.append(x)
+                if x == 2 and how == "break":
+                    break
+                if x == 2 and how == "raise":
+                    raise KeyError(x)
+    assert read == (list(range(8)) if how == "end" else [0, 1, 2])
+    assert multiprocessing.active_children() == []
 
 
 #: The four moments that share the node loop.
