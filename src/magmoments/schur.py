@@ -6,8 +6,12 @@ changes the magnitude by a quadratic form in the removed weights:
     |X \\ P| = |X| - w[P]^T (A / A_Pbar) w[P]
 
 where A / A_Pbar = A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T is the Schur
-complement of the kept block. The same block decomposition yields the
-weight vector of a union of two clouds from their individual weights.
+complement of the kept block. One elimination of the Y block gives the
+weights of a union Z = W u Y, W = X \\ Y, from Y's weights alone, at the
+cost of one |W| and one |Y| Cholesky factorization:
+
+    w_Z[W] = (A/A_Y)^{-1} (1_W - A_{W,Y} w_Y)
+    w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from .geometry import (
     SimilarityMatrix,
     build_similarity,
 )
-from .magnitude import WeightVector, _cholesky_lower, weights_at_scale
+# weights_at_scale is unused here; perfbench/selfcheck.py checks this import site.
+from .magnitude import WeightVector, _cholesky_lower, weights_at_scale  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,27 +71,33 @@ def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplemen
     a = sim.entries
     p = np.asarray(split.removed, dtype=np.intp)
     pbar = np.asarray(split.kept, dtype=np.intp)
-    s = _block_complement(a[np.ix_(p, p)], a[np.ix_(p, pbar)], a[np.ix_(pbar, pbar)])
+    s, _ = _block_complement(a[np.ix_(p, p)], a[np.ix_(p, pbar)], a[np.ix_(pbar, pbar)])
     s_lower = _cholesky_lower(s.copy())  # the factor overwrites its argument
     det = float(np.prod(np.diag(s_lower)) ** 2)
     return SchurComplement(s, det)
 
 
-def _block_complement(a_p, cross, a_pbar) -> np.ndarray:
-    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T, symmetrized.
+def _block_complement(a_p, cross, a_pbar) -> tuple[np.ndarray, np.ndarray]:
+    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T, symmetrized, and A_Pbar's factor.
 
     ``cross`` is A_{P,Pbar}; ``a_pbar`` is factored in place, so pass an
-    array the caller gives up.
+    array the caller gives up. The factor is returned for cho_solve.
     """
     lower = _cholesky_lower(a_pbar)
     s = a_p - cross @ scipy.linalg.cho_solve((lower, True), cross.T, check_finite=False)
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + s.T), lower
+
+
+def _check_size(weights: WeightVector, points: int, name: str) -> None:
+    if weights.size != points:
+        raise ValueError(f"{name} has {weights.size} entries for {points} points")
 
 
 def restricted_magnitude(
     weights: WeightVector, sim: SimilarityMatrix, split: IndexSplit
 ) -> float:
     """Magnitude of the kept subset, without re-solving on it."""
+    _check_size(weights, split.parent_size, "weights")
     if not split.removed:
         return weights.magnitude
     comp = schur_complement(sim, split)
@@ -104,8 +115,11 @@ def restriction_bounds(
     the quadratic form w_P^T S w_P. The restricted magnitude lies in
     [lower, detUpper] and detUpper <= upper. For well-separated points
     S approaches the identity and the bounds collapse to
-    |X| >= |X \\ P| >= |X| - |P|.
+    |X| >= |X \\ P| >= |X| - |P|. With nothing removed all three are |X|.
     """
+    _check_size(weights, split.parent_size, "weights")
+    if not split.removed:
+        return (weights.magnitude,) * 3
     comp = schur_complement(sim, split)
     wp = weights.weights[np.asarray(split.removed, dtype=np.intp)]
     n_removed = len(split.removed)
@@ -156,56 +170,41 @@ def union_weights(
     weights_x: WeightVector,
     weights_y: WeightVector,
 ) -> WeightVector:
-    """Weight vector on Z = X u Y from the block decomposition of zeta_Z.
+    """Weight vector on Z = X u Y by one elimination of the Y block of zeta_Z.
 
     Output ordering matches union_cloud: W = X \\ Y first (X order), then
     Y (Y order). With A = zeta_Z split into the W and Y blocks,
 
         w_Z[W] = (A/A_Y)^{-1} (1_W - A_{W,Y} w_Y)
-        w_Z[Y] = (A/A_W)^{-1} (1_Y - A_{W,Y}^T w_W)
+        w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
 
-    where w_Y is the given weighting of Y and w_W is the weighting of W
-    alone. When Y is contained in X this degenerates to X itself and the
-    given weights_x are returned unchanged.
+    from one |W| and one |Y| Cholesky factorization. Only Y's weights
+    enter. If Y is contained in X, weights_x is returned unchanged, in X
+    order rather than union_cloud's; if X is contained in Y, Z is Y and
+    weights_y is returned.
     """
-    if cloud_x.dim != cloud_y.dim:
-        raise ValueError("clouds must share dimension")
     if weights_x.scale != weights_y.scale:
         raise ValueError("weight vectors must share the same scale t")
-    t = weights_x.scale
-    mapping = _match_points(cloud_x, cloud_y)
-    if len(mapping) == cloud_y.size:
+    _check_size(weights_x, cloud_x.size, "weights_x")
+    _check_size(weights_y, cloud_y.size, "weights_y")
+    cloud_z = union_cloud(cloud_x, cloud_y)
+    if cloud_z.size == cloud_x.size:
         return weights_x
-    overlap_in_x = set(mapping.values())
-    keep_x = [i for i in range(cloud_x.size) if i not in overlap_in_x]
-    nw = len(keep_x)
-    ny = cloud_y.size
-    # The union cloud is not kept, so its cached distance matrix is freed
-    # here, before the block solves below allocate theirs.
-    a = build_similarity(
-        PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points])), t
-    ).entries
+    nw = cloud_z.size - cloud_y.size
+    if not nw:
+        return weights_y
+    a = build_similarity(cloud_z, weights_x.scale).entries
+    del cloud_z  # frees the union's distance matrix before the block solves
     a_wy = a[:nw, nw:]
-
-    w_y = weights_y.weights
-    w_w = weights_at_scale(cloud_x.subset(keep_x), t).weights if nw else np.zeros(0)
-
-    if nw:
-        # The factors overwrite their arguments: hand over copies of the blocks.
-        schur_w = _block_complement(a[:nw, :nw], a_wy, a[nw:, nw:].copy())
-        wz_w = scipy.linalg.cho_solve(
-            (_cholesky_lower(schur_w), True),
-            np.ones(nw) - a_wy @ w_y,
-            check_finite=False,
-        )
-        schur_y = _block_complement(a[nw:, nw:], a_wy.T, a[:nw, :nw].copy())
-        wz_y = scipy.linalg.cho_solve(
-            (_cholesky_lower(schur_y), True),
-            np.ones(ny) - a_wy.T @ w_w,
-            check_finite=False,
-        )
-    else:
-        wz_w = np.zeros(0)
-        wz_y = w_y
-    w_z = np.concatenate([wz_w, wz_y])
-    return WeightVector(w_z, t, float(w_z.sum()))
+    # The factor overwrites its argument: hand over a copy of the Y block.
+    schur_w, lower_y = _block_complement(a[:nw, :nw], a_wy, a[nw:, nw:].copy())
+    w_w = scipy.linalg.cho_solve(
+        (_cholesky_lower(schur_w), True),
+        1.0 - a_wy @ weights_y.weights,
+        check_finite=False,
+    )
+    w_y = scipy.linalg.cho_solve(
+        (lower_y, True), 1.0 - a_wy.T @ w_w, check_finite=False
+    )
+    w_z = np.concatenate([w_w, w_y])
+    return WeightVector(w_z, weights_x.scale, float(w_z.sum()))

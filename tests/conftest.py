@@ -10,8 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """Sizes of the matrices that magnitude._cholesky_lower factors."""
-    from magmoments import magnitude
+    """Sizes of the matrices that _cholesky_lower factors through
+    magnitude's and schur's bindings."""
+    from magmoments import magnitude, schur
 
     calls = []
     real = magnitude._cholesky_lower
@@ -20,7 +21,8 @@ def cholesky_calls(monkeypatch):
         calls.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(magnitude, "_cholesky_lower", counted)
+    for module in (magnitude, schur):
+        monkeypatch.setattr(module, "_cholesky_lower", counted)
     return calls
 
 

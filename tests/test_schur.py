@@ -63,8 +63,18 @@ def test_restricted_trivials():
     cloud, sim, wv = _setup(np.array([[0.0], [1.3]]))
     keep_all = IndexSplit(kept=(0, 1), removed=(), parent_size=2)
     assert restricted_magnitude(wv, sim, keep_all) == wv.magnitude
+    assert restriction_bounds(wv, sim, keep_all) == (wv.magnitude,) * 3
     drop_one = IndexSplit(kept=(0,), removed=(1,), parent_size=2)
     assert restricted_magnitude(wv, sim, drop_one) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_restriction_rejects_wrong_size_weights():
+    _, sim, _ = _setup(np.array([[0.0], [1.0], [2.5]]))
+    short = weights_at_scale(PointCloud(np.array([[0.0], [1.0]])), 1.0)
+    split = IndexSplit(kept=(0, 2), removed=(1,), parent_size=3)
+    for fn in (restricted_magnitude, restriction_bounds):
+        with pytest.raises(ValueError, match="weights has 2 entries for 3 points"):
+            fn(short, sim, split)
 
 
 def test_restricted_matches_direct_resolve():
@@ -151,6 +161,44 @@ def test_union_subset_returns_given_weights():
     wx = weights_at_scale(x, 1.0)
     wy = weights_at_scale(y, 1.0)
     assert union_weights(x, y, wx, wy) is wx
+    # With the roles swapped, X in Y: Z is Y in Y order, with Y's weights.
+    assert np.array_equal(union_cloud(y, x).points, x.points)
+    assert union_weights(y, x, wy, wx) is wx
+
+
+def test_union_rejects_wrong_size_weights():
+    rng = np.random.default_rng(27)
+    x = PointCloud(rng.normal(size=(8, 2)))
+    y = x.subset([1, 4, 6])
+    wx = weights_at_scale(x, 1.0)
+    wy = weights_at_scale(y, 1.0)
+    with pytest.raises(ValueError, match="weights_x has 3 entries for 8 points"):
+        union_weights(x, y, wy, wy)
+    z = PointCloud(rng.normal(size=(4, 2)) + 3.0)
+    with pytest.raises(ValueError, match="weights_y has 8 entries for 4 points"):
+        union_weights(x, z, wx, wx)
+
+
+def test_union_is_one_elimination(monkeypatch, cholesky_calls):
+    # One factor of the Y block and one of its |W| x |W| Schur complement;
+    # W's own weights are never solved for.
+    from magmoments import magnitude, schur
+
+    rng = np.random.default_rng(32)
+    x = PointCloud(rng.normal(size=(9, 2)))
+    y = PointCloud(np.vstack([x.points[[2, 5]], rng.normal(size=(4, 2)) + 1.0]))
+    wx, wy = weights_at_scale(x, 1.0), weights_at_scale(y, 1.0)
+    solves = []
+
+    def counted(cloud, t):
+        solves.append(cloud.size)
+        return magnitude.weights_at_scale(cloud, t)
+
+    monkeypatch.setattr(schur, "weights_at_scale", counted)
+    cholesky_calls.clear()
+    union_weights(x, y, wx, wy)
+    assert cholesky_calls == [y.size, x.size - 2]
+    assert solves == []
 
 
 def test_union_distant_singletons():
