@@ -46,9 +46,6 @@ from .parallel import ordered_map, worker_count
 
 FLOAT_FMT = "%.17g"
 
-#: Cooperative per-trial wall-clock budget in seconds.
-TRIAL_BUDGET = 120.0
-
 #: Prefix-curve store that table1 writes and curves reads, in the out dir.
 CURVE_STORE = "curves.npz"
 
@@ -141,9 +138,7 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     cloud = generate(config._dataset_spec(dim, trial_seed(base_seed, dim)))
     rule = gauss_laguerre_rule(config.quadrature_order)
     moments = zeroth_moments(cloud, rule, estimate_error=False)
-    _check_budget(start)
     curve, vertex_count = moment_prefix_curve(cloud, moments)
-    _check_budget(start)
     full_volume = curve[-1][1]
     target = config.volume_fraction * full_volume
     i90 = next(i for i, vol, _ in curve if vol >= target)
@@ -160,18 +155,12 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     )
 
 
-def _check_budget(start: float):
-    if time.perf_counter() - start > TRIAL_BUDGET:
-        raise TimeoutError(f"trial exceeded {TRIAL_BUDGET:.0f} s budget")
-
-
 def _trial_outcome(config: ExperimentConfig, trial: tuple):
-    """The (dim, seed) trial's record, or the MagnitudeError or TimeoutError
-    it raised."""
+    """The (dim, seed) trial's record, or the MagnitudeError it raised."""
     dim, base_seed = trial
     try:
         return run_trial(config, dim, base_seed)
-    except (MagnitudeError, TimeoutError) as exc:
+    except MagnitudeError as exc:
         return exc
 
 
@@ -180,7 +169,7 @@ def _run_trials(config: ExperimentConfig, trials: list[tuple]) -> list:
 
     A pool of forked workers runs them when ``worker_count`` allows two
     or more; otherwise they run here, one after another. Any exception
-    other than a trial's MagnitudeError or TimeoutError propagates.
+    other than a trial's MagnitudeError propagates.
     """
     outcome = functools.partial(_trial_outcome, config)
     with ordered_map(outcome, trials, worker_count(len(trials))) as outcomes:

@@ -1,9 +1,12 @@
 """Exact convex hull (vertices, facets) and volume in R^d, d <= 8.
 
 Hulls are computed with Qhull (scipy.spatial.ConvexHull), requesting a
-triangulated facet output so every facet is a (d-1)-simplex. Volume is
-recomputed independently by a fan triangulation from the vertex centroid;
-Qhull's own volume and a divergence-theorem surface integral serve as
+triangulated facet output so every facet is a (d-1)-simplex. A hull keeps
+its facets as Qhull's own arrays: ``simplices`` (F x d vertex indices)
+and ``equations`` (F x (d+1) rows, eq[:d] . p + eq[d] <= 0 inside), the
+form ``moment_prefix_curve`` also reads. Volume is recomputed
+independently by a fan triangulation from the vertex centroid; Qhull's
+own volume and a divergence-theorem surface integral serve as
 cross-checks in the test suite.
 
 Affinely dependent inputs come back as a flagged zero-volume result rather
@@ -13,6 +16,7 @@ prefixes.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from math import gamma, pi
 
@@ -28,24 +32,17 @@ GEOM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Facet:
-    """Oriented facet: d vertex indices, outward normal, offset.
+class HullResult:
+    """Convex hull of a cloud: sorted vertex indices, facets, and volume.
 
-    Points p of the hull satisfy normal . p <= offset (up to geometric
-    tolerance).
+    Facet k is the simplex ``points[simplices[k]]``; points p of the hull
+    satisfy ``equations[k, :d] . p + equations[k, d] <= 0`` (up to
+    geometric tolerance), with ``equations[k, :d]`` the outward normal.
     """
 
     vertex_indices: tuple
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True)
-class HullResult:
-    """Convex hull of a cloud: vertex indices, facets, and volume."""
-
-    vertex_indices: tuple
-    facets: tuple
+    simplices: np.ndarray
+    equations: np.ndarray
     volume: float
     dim: int
     points: np.ndarray
@@ -66,7 +63,10 @@ def affine_rank(points: np.ndarray, rel_tol: float = 1e-9) -> int:
 
 
 def _degenerate_result(cloud: PointCloud) -> HullResult:
-    return HullResult((), (), 0.0, cloud.dim, cloud.points, degenerate=True)
+    d = cloud.dim
+    return HullResult(
+        (), np.empty((0, d), np.intp), np.empty((0, d + 1)), 0.0, d, cloud.points, True
+    )
 
 
 def convex_hull(cloud: PointCloud) -> HullResult:
@@ -79,49 +79,35 @@ def convex_hull(cloud: PointCloud) -> HullResult:
         lo, hi = int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))
         if lo == hi:
             return _degenerate_result(cloud)
-        verts = tuple(sorted((lo, hi)))
-        facets = (
-            Facet((hi,), np.array([1.0]), float(pts[hi, 0])),
-            Facet((lo,), np.array([-1.0]), float(-pts[lo, 0])),
-        )
-        return HullResult(verts, facets, float(pts[hi, 0] - pts[lo, 0]), 1, pts)
-    if cloud.size < d + 1 or affine_rank(pts) < d:
-        return _degenerate_result(cloud)
-    try:
-        qh = ConvexHull(pts, qhull_options="Qt")
-    except QhullError:
-        return _degenerate_result(cloud)
-    facets = []
-    for simplex, eq in zip(qh.simplices, qh.equations):
-        # Qhull convention: eq[:d] . p + eq[d] <= 0 inside.
-        facets.append(Facet(tuple(int(i) for i in simplex), eq[:d].copy(), float(-eq[d])))
-    result = HullResult(
-        tuple(sorted(int(v) for v in qh.vertices)),
-        tuple(facets),
-        0.0,
-        d,
-        pts,
-    )
+        vertices = (lo, hi)
+        simplices = np.array([[hi], [lo]], dtype=np.intp)
+        equations = np.array([[1.0, -pts[hi, 0]], [-1.0, pts[lo, 0]]])
+        volume = float(pts[hi, 0] - pts[lo, 0])
+    else:
+        if cloud.size < d + 1 or affine_rank(pts) < d:
+            return _degenerate_result(cloud)
+        try:
+            qh = ConvexHull(pts, qhull_options="Qt")
+        except QhullError:
+            return _degenerate_result(cloud)
+        vertices, simplices, equations = qh.vertices, qh.simplices, qh.equations
+        volume = _fan_volume(pts, vertices, simplices)
     return HullResult(
-        result.vertex_indices, result.facets, hull_volume(result), d, pts
+        tuple(sorted(int(v) for v in vertices)), simplices, equations, volume, d, pts
     )
+
+
+def _fan_volume(points: np.ndarray, vertices, simplices: np.ndarray) -> float:
+    centroid = points[list(vertices)].mean(axis=0)
+    dets = np.linalg.det(points[simplices] - centroid)
+    return float(np.abs(dets).sum() / gamma(points.shape[1] + 1))
 
 
 def hull_volume(hull: HullResult) -> float:
     """Volume by fan triangulation from the centroid of the hull vertices."""
-    if hull.degenerate or not hull.facets:
+    if hull.degenerate:
         return 0.0
-    if hull.dim == 1:
-        coords = hull.points[list(hull.vertex_indices), 0]
-        return float(coords.max() - coords.min())
-    centroid = hull.points[list(hull.vertex_indices)].mean(axis=0)
-    d = hull.dim
-    total = 0.0
-    fact = float(gamma(d + 1))
-    for facet in hull.facets:
-        verts = hull.points[list(facet.vertex_indices)]
-        total += abs(np.linalg.det(verts - centroid)) / fact
-    return total
+    return _fan_volume(hull.points, hull.vertex_indices, hull.simplices)
 
 
 def containment_slack(points: np.ndarray) -> float:
@@ -135,7 +121,8 @@ def contains(hull: HullResult, point: np.ndarray, tol: float | None = None) -> b
         return False
     if tol is None:
         tol = containment_slack(hull.points)
-    return all(f.normal @ point <= f.offset + tol for f in hull.facets)
+    eq = hull.equations
+    return bool(np.all(eq[:, :-1] @ point <= tol - eq[:, -1]))
 
 
 def unit_ball_volume(d: int) -> float:
@@ -147,12 +134,10 @@ def unit_ball_volume(d: int) -> float:
 
 def to_off(hull: HullResult) -> str:
     """OFF-format text (vertices + facets) for external viewers."""
-    verts = list(hull.vertex_indices)
-    local = {v: i for i, v in enumerate(verts)}
-    lines = ["OFF", f"{len(verts)} {len(hull.facets)} 0"]
-    for v in verts:
-        lines.append(" ".join("%.17g" % c for c in hull.points[v]))
-    for facet in hull.facets:
-        ids = " ".join(str(local[v]) for v in facet.vertex_indices)
-        lines.append(f"{len(facet.vertex_indices)} {ids}")
-    return "\n".join(lines) + "\n"
+    verts = np.asarray(hull.vertex_indices, dtype=np.intp)
+    faces = np.searchsorted(verts, hull.simplices)  # verts is sorted
+    out = io.StringIO()
+    out.write(f"OFF\n{verts.size} {len(faces)} 0\n")
+    np.savetxt(out, hull.points[verts], fmt="%.17g")
+    np.savetxt(out, np.column_stack([np.full(len(faces), hull.dim), faces]), fmt="%d")
+    return out.getvalue()

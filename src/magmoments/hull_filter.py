@@ -16,14 +16,13 @@ Two threshold conventions are available:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
-from .hull_exact import Facet, HullResult, affine_rank, containment_slack, convex_hull
+from .hull_exact import HullResult, affine_rank, containment_slack, convex_hull
 from .magnitude import _cholesky_lower, weights_at_scale
 from .moments import MomentVector, QuadratureRule, zeroth_moments
 
@@ -74,47 +73,22 @@ def filter_by_moment(
     order = _ascending_order(moments.mu0)
     mu_sorted = moments.mu0[order]
     max_removed = max(n - (d + 1), 0)
-
-    def threshold(i: int) -> float:
-        return epsilon / (d * i * magnitude_at_one) if i > 0 else math.inf
-
-    if math.isinf(epsilon):
-        removed_count = max_removed
-    elif convention == "derived":
-        # Predicate: max removed moment mu_sorted[i-1] <= threshold(i).
-        # mu_sorted is nondecreasing and the threshold decreases in i, so
-        # the admissible i form a prefix; binary search for its end.
-        removed_count = _largest_true(
-            lambda i: mu_sorted[i - 1] <= threshold(i), max_removed
-        )
-    else:
-        # Literal published step: largest i with mu_0(x_i) <= threshold(i),
-        # testing the first kept point; removed set is x_0 .. x_{i-1}.
-        removed_count = _largest_true(
-            lambda i: mu_sorted[i] <= threshold(i), max_removed
-        )
+    counts = np.arange(1, n + 1)
+    thresholds = epsilon / (d * counts * magnitude_at_one)
+    # Removing i points tests mu_sorted[i-1], the largest removed moment
+    # (derived), or mu_sorted[i], the first kept one (paper), against
+    # thresholds[i-1]. Moments grow and thresholds shrink with i, so the
+    # admissible i form a prefix of 1..max_removed: count its leading run.
+    first = 0 if convention == "derived" else 1
+    admissible = mu_sorted[first : first + max_removed] <= thresholds[:max_removed]
+    removed_count = int(np.logical_and.accumulate(admissible).sum())
 
     removed = tuple(int(v) for v in order[:removed_count])
     kept = tuple(int(v) for v in order[removed_count:])
-    curve = tuple(
-        (i, float(mu_sorted[i - 1]), threshold(i)) for i in range(1, n + 1)
-    )
+    curve = tuple(zip(counts.tolist(), mu_sorted.tolist(), thresholds.tolist()))
     return FilterReport(
         kept, removed, float(epsilon), curve, float(magnitude_at_one), convention
     )
-
-
-def _largest_true(predicate, hi: int) -> int:
-    """Largest i in [0, hi] with predicate(i) true; predicate(0) is true."""
-    lo = 0
-    high = hi
-    while lo < high:
-        mid = (lo + high + 1) // 2
-        if predicate(mid):
-            lo = mid
-        else:
-            high = mid - 1
-    return lo
 
 
 def approximate_hull(
@@ -129,21 +103,13 @@ def approximate_hull(
     """
     moments = zeroth_moments(cloud, rule, estimate_error=False)
     report = filter_by_moment(cloud, moments, epsilon, convention)
-    kept = list(report.kept_indices)
-    sub = cloud.subset(kept)
-    hull = convex_hull(sub)
-    remap = np.asarray(kept, dtype=np.intp)
-    facets = tuple(
-        Facet(tuple(int(remap[v]) for v in f.vertex_indices), f.normal, f.offset)
-        for f in hull.facets
-    )
-    hull = HullResult(
-        tuple(sorted(int(remap[v]) for v in hull.vertex_indices)),
-        facets,
-        hull.volume,
-        hull.dim,
-        cloud.points,
-        hull.degenerate,
+    kept = np.asarray(report.kept_indices, dtype=np.intp)
+    hull = convex_hull(cloud.subset(kept))
+    hull = replace(
+        hull,
+        vertex_indices=tuple(sorted(kept[list(hull.vertex_indices)].tolist())),
+        simplices=kept[hull.simplices],
+        points=cloud.points,
     )
     return hull, report
 

@@ -95,6 +95,8 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=np.float64)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D and equal length")
+        if self.order != nodes.size:
+            raise ValueError(f"order {self.order} does not match {nodes.size} nodes")
         if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
         if np.any(weights <= 0):

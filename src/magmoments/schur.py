@@ -93,11 +93,19 @@ def _check_size(weights: WeightVector, points: int, name: str) -> None:
         raise ValueError(f"{name} has {weights.size} entries for {points} points")
 
 
+def _check_scale(weights: WeightVector, sim: SimilarityMatrix) -> None:
+    if weights.scale != sim.scale:
+        raise ValueError(
+            f"weights at scale t={weights.scale} but similarity matrix at t={sim.scale}"
+        )
+
+
 def restricted_magnitude(
     weights: WeightVector, sim: SimilarityMatrix, split: IndexSplit
 ) -> float:
     """Magnitude of the kept subset, without re-solving on it."""
     _check_size(weights, split.parent_size, "weights")
+    _check_scale(weights, sim)
     if not split.removed:
         return weights.magnitude
     comp = schur_complement(sim, split)
@@ -118,6 +126,7 @@ def restriction_bounds(
     |X| >= |X \\ P| >= |X| - |P|. With nothing removed all three are |X|.
     """
     _check_size(weights, split.parent_size, "weights")
+    _check_scale(weights, sim)
     if not split.removed:
         return (weights.magnitude,) * 3
     comp = schur_complement(sim, split)
@@ -179,17 +188,13 @@ def union_weights(
         w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
 
     from one |W| and one |Y| Cholesky factorization. Only Y's weights
-    enter. If Y is contained in X, weights_x is returned unchanged, in X
-    order rather than union_cloud's; if X is contained in Y, Z is Y and
-    weights_y is returned.
+    enter. If X is contained in Y, Z is Y and weights_y is returned.
     """
     if weights_x.scale != weights_y.scale:
         raise ValueError("weight vectors must share the same scale t")
     _check_size(weights_x, cloud_x.size, "weights_x")
     _check_size(weights_y, cloud_y.size, "weights_y")
     cloud_z = union_cloud(cloud_x, cloud_y)
-    if cloud_z.size == cloud_x.size:
-        return weights_x
     nw = cloud_z.size - cloud_y.size
     if not nw:
         return weights_y

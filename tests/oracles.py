@@ -116,12 +116,12 @@ def divergence_volume(hull) -> float:
     (d-1)-simplices."""
     d = hull.dim
     total = 0.0
-    for facet in hull.facets:
-        verts = hull.points[list(facet.vertex_indices)]
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        verts = hull.points[simplex]
         edges = verts[1:] - verts[0]
         gram = edges @ edges.T
         area = math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(d - 1)
-        normal = facet.normal / np.linalg.norm(facet.normal)
+        normal = eq[:d] / np.linalg.norm(eq[:d])
         total += (normal @ verts[0]) * area
     return total / d
 
@@ -182,3 +182,20 @@ def prefix_curve_bruteforce(points_in_order: np.ndarray):
         magnitude = np.linalg.solve(zeta[:i, :i], np.ones(i)).sum()
         curve.append((i, float(volume), float(magnitude)))
     return curve
+
+
+def filter_removed_count(mu0, d, epsilon, magnitude_at_one, convention):
+    """filter_by_moment's removed count by a plain scan over i = 1..N-d-1.
+
+    Removing i points tests the ascending moments' entry i-1 (derived) or
+    i (paper) against epsilon / (d * i * magnitude_at_one); the count is
+    the last i before the first failed test.
+    """
+    mu = sorted(float(m) for m in mu0)
+    offset = 0 if convention == "derived" else 1
+    count = 0
+    for i in range(1, len(mu) - d):
+        if not mu[i - 1 + offset] <= epsilon / (d * i * magnitude_at_one):
+            break
+        count = i
+    return count

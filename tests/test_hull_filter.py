@@ -18,8 +18,9 @@ from magmoments import (
 from magmoments import magnitude
 from magmoments.datagen import DatasetSpec, generate
 from magmoments.errors import FactorizationFailure
+from magmoments.hull_exact import contains, containment_slack, to_off
 from magmoments.moments import MomentVector, gauss_laguerre_rule
-from oracles import prefix_curve_bruteforce
+from oracles import filter_removed_count, prefix_curve_bruteforce
 
 
 def _blob_cloud(n=200, dim=2, seed=51):
@@ -92,6 +93,22 @@ def test_paper_convention_also_supported():
     # its condition is harder to satisfy and it removes no more points
     # than the max-removed-moment form.
     assert set(paper.removed_indices) <= set(derived.removed_indices)
+    # Both conventions against a plain scan, on the moments and on a
+    # rounded copy with many ties.
+    d, magnitude_at_one = cloud.dim, derived.magnitude_at_one
+    for mu0 in (mv.mu0, np.round(mv.mu0, 2)):
+        tied = MomentVector(mu0, gauss_laguerre_rule(), np.nan)
+        order = np.argsort(mu0, kind="stable")
+        for eps in (0.0, 1e-6, 0.01, 0.1, 1.0, 10.0, math.inf):
+            for convention in ("derived", "paper"):
+                report = filter_by_moment(cloud, tied, eps, convention, magnitude_at_one)
+                count = filter_removed_count(mu0, d, eps, magnitude_at_one, convention)
+                assert report.removed_indices == tuple(order[:count].tolist())
+                assert report.kept_indices == tuple(order[count:].tolist())
+                assert report.threshold_curve == tuple(
+                    (i, float(mu0[order[i - 1]]), eps / (d * i * magnitude_at_one))
+                    for i in range(1, cloud.size + 1)
+                )
 
 
 def test_unknown_convention_rejected():
@@ -125,6 +142,27 @@ def test_zero_epsilon_hull_identical():
     assert report.removed_indices == ()
     assert hull.vertex_indices == full.vertex_indices
     assert hull.volume == full.volume
+
+
+def test_approximate_hull_facets_refer_to_the_cloud():
+    cloud = _blob_cloud(n=200, dim=3, seed=57)
+    hull, report = approximate_hull(cloud, 10.0)
+    assert report.removed_indices
+    assert set(hull.vertex_indices) <= set(report.kept_indices)
+    d = cloud.dim
+    # Each remapped facet's own vertices lie on its hyperplane.
+    on_facet = cloud.points[hull.simplices]
+    heights = np.einsum("fkd,fd->fk", on_facet, hull.equations[:, :d])
+    heights += hull.equations[:, d:]
+    assert np.abs(heights).max() <= containment_slack(cloud.points)
+    assert all(contains(hull, p) for p in cloud.points)
+    lines = to_off(hull).splitlines()
+    n_verts, n_faces, _ = map(int, lines[1].split())
+    coords = np.array([[float(c) for c in line.split()] for line in lines[2 : 2 + n_verts]])
+    assert np.array_equal(coords, cloud.points[list(hull.vertex_indices)])
+    faces = np.array([[int(c) for c in line.split()] for line in lines[2 + n_verts :]])
+    assert faces.shape == (n_faces, d + 1) and np.all(faces[:, 0] == d)
+    assert np.array_equal(np.asarray(hull.vertex_indices)[faces[:, 1:]], hull.simplices)
 
 
 def test_approx_volume_never_exceeds_full():

@@ -17,6 +17,7 @@ from magmoments import (
     zeroth_moments,
 )
 from magmoments import magnitude, moments
+from magmoments.moments import QuadratureRule
 from magmoments.datagen import DatasetSpec, generate
 
 import oracles
@@ -31,6 +32,13 @@ def test_gauss_laguerre_rule_invariants():
         assert np.all(rule.nodes > 0)
         # The weight function is absorbed: sum of weights integrates 1.
         assert abs(rule.weights.sum() - 1.0) < 1e-12
+
+
+def test_rule_order_must_match_node_count():
+    rule = gauss_laguerre_rule(16)
+    with pytest.raises(ValueError, match="order 20 does not match 16 nodes"):
+        QuadratureRule(rule.nodes, rule.weights, rule.kind, 20)
+    assert QuadratureRule(rule.nodes, rule.weights, rule.kind, 16).order == 16
 
 
 def test_log_trapezoid_close_to_gauss_laguerre():

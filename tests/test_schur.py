@@ -77,6 +77,16 @@ def test_restriction_rejects_wrong_size_weights():
             fn(short, sim, split)
 
 
+def test_restriction_rejects_weights_at_another_scale():
+    rng = np.random.default_rng(33)
+    cloud, sim, _ = _setup(rng.normal(size=(12, 2)), t=2.0)
+    at_one = weights_at_scale(cloud, 1.0)
+    split = IndexSplit(kept=tuple(range(8)), removed=(8, 9, 10, 11), parent_size=12)
+    for fn in (restricted_magnitude, restriction_bounds):
+        with pytest.raises(ValueError, match=r"scale t=1\.0 .* at t=2\.0"):
+            fn(at_one, sim, split)
+
+
 def test_restricted_matches_direct_resolve():
     rng = np.random.default_rng(22)
     pts = rng.normal(size=(20, 3))
@@ -160,7 +170,11 @@ def test_union_subset_returns_given_weights():
     y = x.subset([1, 4, 6])
     wx = weights_at_scale(x, 1.0)
     wy = weights_at_scale(y, 1.0)
-    assert union_weights(x, y, wx, wy) is wx
+    # With Y in X, Z is X reordered: X \ Y first, then Y.
+    direct = weights_at_scale(union_cloud(x, y), 1.0)
+    wz = union_weights(x, y, wx, wy)
+    assert np.abs(wz.weights - direct.weights).max() < 1e-12
+    assert wz.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
     # With the roles swapped, X in Y: Z is Y in Y order, with Y's weights.
     assert np.array_equal(union_cloud(y, x).points, x.points)
     assert union_weights(y, x, wy, wx) is wx
