@@ -100,14 +100,16 @@ def approximate_hull(
     """Moment-filter the cloud, then hull only the kept points.
 
     Vertex and facet indices in the result refer to the original cloud.
+    The kept points are hulled in the cloud's order, so with nothing
+    removed the result is the full cloud's hull, bit for bit.
     """
     moments = zeroth_moments(cloud, rule, estimate_error=False)
     report = filter_by_moment(cloud, moments, epsilon, convention)
-    kept = np.asarray(report.kept_indices, dtype=np.intp)
+    kept = np.sort(np.asarray(report.kept_indices, dtype=np.intp))
     hull = convex_hull(cloud.subset(kept))
     hull = replace(
         hull,
-        vertex_indices=tuple(sorted(kept[list(hull.vertex_indices)].tolist())),
+        vertex_indices=tuple(kept[list(hull.vertex_indices)].tolist()),
         simplices=kept[hull.simplices],
         points=cloud.points,
     )

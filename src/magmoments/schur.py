@@ -6,9 +6,19 @@ changes the magnitude by a quadratic form in the removed weights:
     |X \\ P| = |X| - w[P]^T (A / A_Pbar) w[P]
 
 where A / A_Pbar = A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T is the Schur
-complement of the kept block. One elimination of the Y block gives the
-weights of a union Z = W u Y, W = X \\ Y, from Y's weights alone, at the
-cost of one |W| and one |Y| Cholesky factorization:
+complement S of the kept block. By the block-inverse identity
+
+    A / A_Pbar = ((A^{-1})_PP)^{-1},
+
+S^{-1} = B = Y^T Y with Y = L^{-1} E_P, where L is A's Cholesky factor
+and E_P the columns of the identity at P. L is computed once per
+SimilarityMatrix (about N^3 / 3 flops) and kept on it. So a split costs
+one triangular solve with |P| right-hand sides, about N^2 |P| flops,
+plus O(N |P|^2) for B and O(|P|^3) to invert it.
+
+One elimination of the Y block gives the weights of a union Z = W u Y,
+W = X \\ Y, from Y's weights alone, at the cost of one |W| and one |Y|
+Cholesky factorization:
 
     w_Z[W] = (A/A_Y)^{-1} (1_W - A_{W,Y} w_Y)
     w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
@@ -60,32 +70,50 @@ class SchurComplement:
     determinant: float
 
 
-def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplement:
-    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T for the given split."""
+def _removed_indices(sim: SimilarityMatrix, split: IndexSplit) -> np.ndarray:
+    """Removed index array of a split with both sides nonempty."""
     if not split.removed:
         raise ValueError("Schur complement undefined for an empty removed set")
     if not split.kept:
         raise ValueError("kept set must be nonempty")
     if split.parent_size != sim.size:
         raise ValueError("split size does not match matrix size")
-    a = sim.entries
-    p = np.asarray(split.removed, dtype=np.intp)
-    pbar = np.asarray(split.kept, dtype=np.intp)
-    s, _ = _block_complement(a[np.ix_(p, p)], a[np.ix_(p, pbar)], a[np.ix_(pbar, pbar)])
+    return np.asarray(split.removed, dtype=np.intp)
+
+
+def _held_factor(sim: SimilarityMatrix) -> np.ndarray:
+    """zeta's lower Cholesky factor L, computed on first use and kept on sim.
+
+    Read-only; it holds another 8 N^2 bytes for the matrix's lifetime.
+    """
+    # The matrix is frozen; like a cached_property, the factor goes in its __dict__.
+    held = vars(sim)
+    if "_cholesky" not in held:
+        lower = _cholesky_lower(sim.entries.copy())
+        lower.setflags(write=False)
+        held["_cholesky"] = lower
+    return held["_cholesky"]
+
+
+def _complement(sim: SimilarityMatrix, removed: np.ndarray) -> np.ndarray:
+    """S = A / A_Pbar = B^{-1}, symmetrized, B = (zeta^{-1})_PP = Y^T Y, Y = L^{-1} E_P."""
+    columns = np.zeros((sim.size, removed.size))
+    columns[removed, np.arange(removed.size)] = 1.0
+    y = scipy.linalg.solve_triangular(
+        _held_factor(sim), columns, lower=True, check_finite=False
+    )
+    s = scipy.linalg.cho_solve(
+        (_cholesky_lower(y.T @ y), True), np.eye(removed.size), check_finite=False
+    )
+    return 0.5 * (s + s.T)
+
+
+def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplement:
+    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T for the given split."""
+    s = _complement(sim, _removed_indices(sim, split))
     s_lower = _cholesky_lower(s.copy())  # the factor overwrites its argument
     det = float(np.prod(np.diag(s_lower)) ** 2)
     return SchurComplement(s, det)
-
-
-def _block_complement(a_p, cross, a_pbar) -> tuple[np.ndarray, np.ndarray]:
-    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T, symmetrized, and A_Pbar's factor.
-
-    ``cross`` is A_{P,Pbar}; ``a_pbar`` is factored in place, so pass an
-    array the caller gives up. The factor is returned for cho_solve.
-    """
-    lower = _cholesky_lower(a_pbar)
-    s = a_p - cross @ scipy.linalg.cho_solve((lower, True), cross.T, check_finite=False)
-    return 0.5 * (s + s.T), lower
 
 
 def _check_size(weights: WeightVector, points: int, name: str) -> None:
@@ -108,9 +136,14 @@ def restricted_magnitude(
     _check_scale(weights, sim)
     if not split.removed:
         return weights.magnitude
-    comp = schur_complement(sim, split)
-    wp = weights.weights[np.asarray(split.removed, dtype=np.intp)]
-    return weights.magnitude - float(wp @ comp.matrix @ wp)
+    removed = _removed_indices(sim, split)
+    s = _complement(sim, removed)
+    wp = weights.weights[removed]
+    if removed.size == 1:
+        # s w^2, rounded as restriction_bounds rounds detUpper and lower,
+        # so that at |P| = 1 all three agree exactly.
+        return weights.magnitude - float(s[0, 0] * (wp[0] * wp[0]))
+    return weights.magnitude - float(wp @ s @ wp)
 
 
 def restriction_bounds(
@@ -129,14 +162,12 @@ def restriction_bounds(
     _check_scale(weights, sim)
     if not split.removed:
         return (weights.magnitude,) * 3
-    comp = schur_complement(sim, split)
-    wp = weights.weights[np.asarray(split.removed, dtype=np.intp)]
-    n_removed = len(split.removed)
-    wp2 = wp**2
+    removed = _removed_indices(sim, split)
+    spectrum = scipy.linalg.eigvalsh(_complement(sim, removed))
+    wp2 = weights.weights[removed] ** 2
     upper = weights.magnitude
-    det_upper = upper - n_removed * comp.determinant * float(wp2.min())
-    lam_max = float(scipy.linalg.eigvalsh(comp.matrix)[-1])
-    lower = upper - lam_max * float(wp2.sum())
+    det_upper = upper - removed.size * float(np.prod(spectrum)) * float(wp2.min())
+    lower = upper - float(spectrum.max()) * float(wp2.sum())
     return upper, det_upper, lower
 
 
@@ -202,7 +233,11 @@ def union_weights(
     del cloud_z  # frees the union's distance matrix before the block solves
     a_wy = a[:nw, nw:]
     # The factor overwrites its argument: hand over a copy of the Y block.
-    schur_w, lower_y = _block_complement(a[:nw, :nw], a_wy, a[nw:, nw:].copy())
+    lower_y = _cholesky_lower(a[nw:, nw:].copy())
+    schur_w = a[:nw, :nw] - a_wy @ scipy.linalg.cho_solve(
+        (lower_y, True), a_wy.T, check_finite=False
+    )
+    schur_w = 0.5 * (schur_w + schur_w.T)
     w_w = scipy.linalg.cho_solve(
         (_cholesky_lower(schur_w), True),
         1.0 - a_wy @ weights_y.weights,

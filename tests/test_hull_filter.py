@@ -136,12 +136,17 @@ def test_triangle_plus_centroid():
 
 
 def test_zero_epsilon_hull_identical():
-    cloud = _blob_cloud(n=60)
-    hull, report = approximate_hull(cloud, 0.0)
-    full = convex_hull(cloud)
-    assert report.removed_indices == ()
-    assert hull.vertex_indices == full.vertex_indices
-    assert hull.volume == full.volume
+    clouds = [_blob_cloud(n=60)] + [
+        PointCloud(np.random.default_rng(seed).normal(size=(40, dim)))
+        for dim in (2, 3, 4)
+        for seed in range(40)
+    ]
+    for cloud in clouds:
+        hull, report = approximate_hull(cloud, 0.0)
+        full = convex_hull(cloud)
+        assert report.removed_indices == ()
+        assert hull.vertex_indices == full.vertex_indices
+        assert hull.volume == full.volume
 
 
 def test_approximate_hull_facets_refer_to_the_cloud():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmoments import (
     IndexSplit,
@@ -162,6 +164,56 @@ def test_epsilon_removal_guarantee():
     eps = 4 * (wv.weights[list(removed)] ** 2).max() + 1e-12
     restricted = restricted_magnitude(wv, sim, IndexSplit(kept, removed, 25))
     assert wv.magnitude - restricted <= eps + 1e-10
+
+
+@st.composite
+def _cloud_and_split(draw):
+    """A normal cloud, N <= 40 and d <= 4, a scale and a split with 1 <= |P| < N."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    t = draw(st.floats(min_value=0.05, max_value=5.0))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    n_removed = draw(st.integers(min_value=1, max_value=n - 1))
+    order = draw(st.permutations(range(n)))
+    pts = np.random.default_rng(seed).normal(size=(n, d))
+    return pts, t, IndexSplit(order[n_removed:], order[:n_removed], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cloud_and_split())
+def test_restriction_on_random_splits(case):
+    pts, t, split = case
+    cloud, sim, wv = _setup(pts, t)
+    restricted = restricted_magnitude(wv, sim, split)
+    direct = weights_at_scale(cloud.subset(split.kept), t).magnitude
+    assert abs(restricted - direct) <= 1e-10 * abs(direct)
+    upper, det_upper, lower = restriction_bounds(wv, sim, split)
+    slack = 1e-10 * abs(upper)
+    assert lower - slack <= restricted <= det_upper + slack
+    assert det_upper <= upper + slack
+    comp = schur_complement(sim, split)
+    want = oracles.dense_schur(pts, split.removed, t)
+    assert np.abs(comp.matrix - want).max() <= 1e-12
+
+
+def test_restrictions_share_one_factor(cholesky_calls):
+    from magmoments import schur
+
+    # Every split works from zeta's held factor: one N x N factorization
+    # for all ten, then only |P| x |P| ones.
+    rng = np.random.default_rng(34)
+    n = 30
+    _, sim, wv = _setup(rng.normal(size=(n, 3)))
+    cholesky_calls.clear()
+    for k in range(1, 11):
+        removed = tuple(rng.choice(n, size=k, replace=False))
+        split = IndexSplit(tuple(set(range(n)) - set(removed)), removed, n)
+        restricted_magnitude(wv, sim, split)
+        restriction_bounds(wv, sim, split)
+        schur_complement(sim, split)
+    assert cholesky_calls.count(n) == 1
+    assert max(size for size in cholesky_calls if size != n) <= 10
+    assert not schur._held_factor(sim).flags.writeable
 
 
 def test_union_subset_returns_given_weights():
