@@ -77,12 +77,15 @@ def _sample_blobs(rng, n, dim, params):
     n_centers = int(params.get("centers", 3))
     if sigma <= 0 or n_centers < 1:
         raise InvalidSpec("blobs need sigma > 0 and centers >= 1")
-    lo, hi = params.get("center_range", (-3.0, 3.0))
+    center_range = params.get("center_range", (-3.0, 3.0))
+    if not isinstance(center_range, (list, tuple)) or len(center_range) != 2:
+        raise InvalidSpec("center_range must be a pair [lo, hi]")
+    lo, hi = center_range
     centers = params.get("center_coords")
     if centers is not None:
         centers = np.asarray(centers, dtype=np.float64)
-        if centers.shape[1] != dim:
-            raise InvalidSpec("center_coords dimension mismatch")
+        if centers.ndim != 2 or centers.shape[1] != dim:
+            raise InvalidSpec(f"center_coords must be a list of {dim}-D points")
         n_centers = centers.shape[0]
     else:
         centers = rng.uniform(lo, hi, (n_centers, dim))

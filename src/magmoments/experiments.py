@@ -170,9 +170,17 @@ def _run_trials(config: ExperimentConfig, trials: list[tuple]) -> list:
     A pool of forked workers runs them when ``worker_count`` allows two
     or more; otherwise they run here, one after another. Any exception
     other than a trial's MagnitudeError propagates.
+
+    A pool's workers inherit scipy from this process, which imports it
+    just before the fork. Imported in each worker after the fork, it
+    raised their peak RSS from 73.6 to 86.1 MB (paper configuration, one
+    trial per dimension, two workers).
     """
     outcome = functools.partial(_trial_outcome, config)
-    with ordered_map(outcome, trials, worker_count(len(trials))) as outcomes:
+    workers = worker_count(len(trials))
+    if workers > 1:
+        import scipy.spatial  # noqa: F401  (also loads scipy.linalg, scipy.special)
+    with ordered_map(outcome, trials, workers) as outcomes:
         return list(outcomes)
 
 

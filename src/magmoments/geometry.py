@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DuplicatePoints, NonFinite
 
@@ -166,6 +165,8 @@ def pairwise_distances(cloud: PointCloud) -> np.ndarray:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
     the square root halves that and adds u.
     """
+    from scipy.spatial.distance import cdist  # here: CLI start-up skips scipy
+
     dist = cdist(cloud.points, cloud.points)
     if not np.all(np.isfinite(dist)):
         raise NonFinite("non-finite pairwise distance")

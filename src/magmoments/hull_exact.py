@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointCloud
 
@@ -71,6 +70,8 @@ def _degenerate_result(cloud: PointCloud) -> HullResult:
 
 def convex_hull(cloud: PointCloud) -> HullResult:
     """Hull of the exact input points; deterministic for fixed input order."""
+    from scipy.spatial import ConvexHull, QhullError  # here: CLI start-up skips scipy
+
     d = cloud.dim
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds supported maximum {MAX_DIM}")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationFailure, NonRepresentable
 from .geometry import PointCloud, SimilarityMatrix, _similarity_entries
@@ -74,6 +72,8 @@ def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     """
     if not matrix.flags.writeable:
         raise ValueError("the matrix to factor in place must be writable")
+    from scipy.linalg.lapack import dpotrf  # here: CLI start-up skips scipy
+
     lower, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(
@@ -123,6 +123,8 @@ def _residual(factored: np.ndarray, w: np.ndarray, ones: np.ndarray) -> np.ndarr
     The unit diagonal is put in for the product and L's diagonal restored
     after it, so the factor stays usable for a refinement solve.
     """
+    from scipy.linalg.blas import dsymv
+
     pivots = factored.diagonal().copy()
     np.fill_diagonal(factored, 1.0)
     residual = dsymv(-1.0, factored, w, beta=1.0, y=ones, lower=0)
@@ -138,6 +140,8 @@ def _solve(a: np.ndarray, scale: float) -> WeightVector:
     step of iterative refinement if the residual exceeds the budget. On
     either path a residual over budget is a hard error.
     """
+    from scipy.linalg.lapack import dpotrs
+
     n = a.shape[0]
     ones = np.ones(n)
     budget = RESIDUAL_BUDGET * n

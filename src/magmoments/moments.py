@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import roots_laguerre
 
 from .errors import FactorizationFailure, QuadratureDivergence
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
@@ -110,6 +108,8 @@ class QuadratureRule:
 
 
 def gauss_laguerre_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
+    from scipy.special import roots_laguerre  # here: CLI start-up skips scipy
+
     nodes, weights = roots_laguerre(order)
     return QuadratureRule(nodes, weights, "gauss-laguerre", order)
 
@@ -215,6 +215,8 @@ def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
     factor 2 covers second-order terms, the rounding of the diagonal and
     underflow).
     """
+    from scipy.linalg.lapack import dpotrf
+
     n = cloud.size
     u = np.finfo(np.float64).eps / 2
     work = _similarity_entries(cloud, t)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OverlapAmbiguity
 from .geometry import (
@@ -97,6 +96,8 @@ def _held_factor(sim: SimilarityMatrix) -> np.ndarray:
 
 def _complement(sim: SimilarityMatrix, removed: np.ndarray) -> np.ndarray:
     """S = A / A_Pbar = B^{-1}, symmetrized, B = (zeta^{-1})_PP = Y^T Y, Y = L^{-1} E_P."""
+    import scipy.linalg  # here: CLI start-up skips scipy
+
     columns = np.zeros((sim.size, removed.size))
     columns[removed, np.arange(removed.size)] = 1.0
     y = scipy.linalg.solve_triangular(
@@ -162,6 +163,8 @@ def restriction_bounds(
     _check_scale(weights, sim)
     if not split.removed:
         return (weights.magnitude,) * 3
+    import scipy.linalg
+
     removed = _removed_indices(sim, split)
     spectrum = scipy.linalg.eigvalsh(_complement(sim, removed))
     wp2 = weights.weights[removed] ** 2
@@ -229,6 +232,8 @@ def union_weights(
     nw = cloud_z.size - cloud_y.size
     if not nw:
         return weights_y
+    import scipy.linalg
+
     a = build_similarity(cloud_z, weights_x.scale).entries
     del cloud_z  # frees the union's distance matrix before the block solves
     a_wy = a[:nw, nw:]

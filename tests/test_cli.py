@@ -185,6 +185,18 @@ def test_missing_seed_is_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "param, name",
+    [("center_coords=[0,0]", "center_coords"), ("center_range=5", "center_range")],
+)
+def test_malformed_blob_params_exit_two(tmp_path, capsys, param, name):
+    out = tmp_path / "pts.csv"
+    assert run_cli("datagen", "--kind", "blobs", "--n", "10", "--seed", "1",
+                   "--out", str(out), "--param", param) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_one(tmp_path, capsys):
     bad = tmp_path / "dup.csv"
     bad.write_text("x0,x1\n0,0\n0,0\n1,1\n")

@@ -196,6 +196,29 @@ def test_restriction_on_random_splits(case):
     assert np.abs(comp.matrix - want).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(_cloud_and_split(), st.data())
+def test_union_on_random_splits(case, data):
+    # X is the kept side plus the first `overlap` removed points, Y the
+    # removed side: from disjoint (overlap 0) to Y inside X.
+    pts, t, split = case
+    overlap = data.draw(st.integers(min_value=0, max_value=len(split.removed)))
+    cloud = PointCloud(pts)
+    x = cloud.subset(split.kept + split.removed[:overlap])
+    y = cloud.subset(split.removed)
+    wz = union_weights(x, y, weights_at_scale(x, t), weights_at_scale(y, t))
+    z = union_cloud(x, y)
+    direct = weights_at_scale(z, t)
+    assert abs(wz.magnitude - direct.magnitude) <= 1e-10 * abs(direct.magnitude)
+    # Weights of a near-singular zeta move by up to cond(zeta) u on either
+    # route (a 21000-case probe saw 1.2e-10 of max |w|); the residual in
+    # zeta_Z does not (it saw 1.2e-15).
+    scale = np.abs(direct.weights).max()
+    assert np.abs(wz.weights - direct.weights).max() <= 1e-8 * scale
+    residual = 1.0 - build_similarity(z, t).entries @ wz.weights
+    assert np.abs(residual).max() <= 1e-12
+
+
 def test_restrictions_share_one_factor(cholesky_calls):
     from magmoments import schur
 
