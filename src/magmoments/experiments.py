@@ -142,7 +142,7 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     full_volume = curve[-1][1]
     target = config.volume_fraction * full_volume
     i90 = next(i for i, vol, _ in curve if vol >= target)
-    if vertex_count is None:  # no incremental hull was built
+    if vertex_count is None:  # d = 1, or no prefix was full-dimensional
         vertex_count = convex_hull(cloud).vertex_count
     return TrialRecord(
         dim=dim,

@@ -3,11 +3,12 @@
 Hulls are computed with Qhull (scipy.spatial.ConvexHull), requesting a
 triangulated facet output so every facet is a (d-1)-simplex. A hull keeps
 its facets as Qhull's own arrays: ``simplices`` (F x d vertex indices)
-and ``equations`` (F x (d+1) rows, eq[:d] . p + eq[d] <= 0 inside), the
-form ``moment_prefix_curve`` also reads. Volume is recomputed
-independently by a fan triangulation from the vertex centroid; Qhull's
-own volume and a divergence-theorem surface integral serve as
-cross-checks in the test suite.
+and ``equations`` (F x (d+1) rows, eq[:d] . p + eq[d] <= 0 inside).
+``moment_prefix_curve`` seeds its hull from Qhull in the same form and
+grows those arrays itself, by a beneath-beyond update in numpy. Volume
+is recomputed independently by a fan triangulation from the vertex
+centroid; Qhull's own volume and a divergence-theorem surface integral
+serve as cross-checks in the test suite.
 
 Affinely dependent inputs come back as a flagged zero-volume result rather
 than an exception, so filtering sweeps can proceed through degenerate

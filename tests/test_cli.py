@@ -165,6 +165,10 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         pytest.param({"datasetSpec": {"kind": "spiral"}}, id="unknown-kind"),
         pytest.param({"dims": [3], "datasetSpec": {"kind": "annulus"}}, id="annulus-3d"),
         pytest.param({"quadratureOrder": 0}, id="order-0"),
+        pytest.param(
+            {"datasetSpec": {"kind": "gaussian-blobs", "params": {"sigma": [1]}}},
+            id="sigma-list",
+        ),
     ],
 )
 def test_malformed_experiment_config_exits_two(tmp_path, config):
@@ -194,6 +198,27 @@ def test_malformed_blob_params_exit_two(tmp_path, capsys, param, name):
     assert run_cli("datagen", "--kind", "blobs", "--n", "10", "--seed", "1",
                    "--out", str(out), "--param", param) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        ("annulus", "inner={}"),
+        ("annulus", "outer=[2]"),
+        ("square", "side=[1]"),
+        ("moons", 'noise={"a": 1}'),
+        ("blobs", "sigma=[1]"),
+        ("blobs", "centers={}"),
+        ("blobs", "center_range=[[0], 1]"),
+        ("blobs", "center_coords={}"),
+    ],
+)
+def test_non_scalar_dataset_params_exit_two(tmp_path, capsys, kind, param):
+    out = tmp_path / "pts.csv"
+    assert run_cli("datagen", "--kind", kind, "--n", "10", "--seed", "1",
+                   "--out", str(out), "--param", param) == 2
+    assert param.partition("=")[0] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -132,6 +132,14 @@ def test_config_validation():
         ),
         pytest.param('{"quadratureOrder": 0}', ValueError, id="order-0"),
         pytest.param('{"datasetSpec": "blobs"}', ValueError, id="dataset-not-object"),
+        pytest.param(
+            '{"datasetSpec": {"kind": "gaussian-blobs", "params": {"sigma": [1]}}}',
+            InvalidSpec, id="sigma-list",
+        ),
+        pytest.param(
+            '{"datasetSpec": {"kind": "square", "params": [1]}}', InvalidSpec,
+            id="params-not-object",
+        ),
     ],
 )
 def test_config_rejects_malformed_trials_when_built(raw, error):

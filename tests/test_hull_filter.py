@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magmoments import (
     IndexSplit,
@@ -15,7 +17,7 @@ from magmoments import (
     solve_weights,
     zeroth_moments,
 )
-from magmoments import magnitude
+from magmoments import hull_filter, magnitude
 from magmoments.datagen import DatasetSpec, generate
 from magmoments.errors import FactorizationFailure
 from magmoments.hull_exact import contains, containment_slack, to_off
@@ -268,8 +270,8 @@ def _collinear_start():
     return _in_given_order(np.vstack([line, rest]))
 
 
-def _shuffled_grid():
-    pts = np.random.default_rng(56).permutation(_grid(8, 2).points)
+def _shuffled_grid(side, dim, seed):
+    pts = np.random.default_rng(seed).permutation(_grid(side, dim).points)
     return _in_given_order(pts)
 
 
@@ -285,15 +287,9 @@ def _shuffled_grid():
         pytest.param(lambda: _own_order(_grid(8, 2)), id="grid-8x8"),
         pytest.param(lambda: _own_order(_grid(5, 3)), id="grid-5x5x5"),
         pytest.param(lambda: _own_order(_grid(4, 4)), id="grid-4x4x4x4"),
-        pytest.param(
-            _shuffled_grid,
-            id="grid-8x8-shuffled",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="scipy's incremental ConvexHull always triangulates (Qt): "
-                "after Qhull merges collinear points, later adds give wrong volumes",
-            ),
-        ),
+        pytest.param(lambda: _shuffled_grid(8, 2, 56), id="grid-8x8-shuffled"),
+        pytest.param(lambda: _own_order(_blob_cloud(40, 5, 57)), id="blob-d5"),
+        pytest.param(lambda: _shuffled_grid(3, 5, 5), id="grid-3^5-shuffled"),
     ],
 )
 def test_prefix_curve_matches_bruteforce(case):
@@ -305,6 +301,55 @@ def test_prefix_curve_matches_bruteforce(case):
     for (_, vol, mag), (_, want_vol, want_mag) in zip(got, want):
         assert vol == pytest.approx(want_vol, rel=1e-12, abs=0.0)
         assert mag == pytest.approx(want_mag, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "side, dim, seed", [(8, 2, 56), (5, 3, 57), (4, 4, 1), (3, 5, 5)]
+)
+def test_prefix_curve_counts_only_a_shuffled_grids_corners(side, dim, seed):
+    # Points that join the hull early are later left on its facets and
+    # ridges; they are no longer extreme points and must not count.
+    cloud, mv = _shuffled_grid(side, dim, seed)
+    _, count = moment_prefix_curve(cloud, mv)
+    assert count == 2**dim
+
+
+@pytest.mark.parametrize("base", [9, 10**7])  # 10**21 overflows int64: row ranks
+def test_ridge_keys_are_equal_exactly_for_equal_rows(base):
+    rows = np.random.default_rng(58).integers(0, 3, (200, 3)) * (base // 3)
+    keys = hull_filter._row_keys(rows, base)
+    assert keys.dtype == np.int64
+    same_key = keys[:, None] == keys[None, :]
+    assert np.array_equal(same_key, (rows[:, None] == rows[None, :]).all(axis=2))
+
+
+@st.composite
+def _clouds_in_order(draw):
+    """Random clouds at d = 2-5, some starting with points on one line."""
+    dim = draw(st.integers(2, 5))
+    on_line = draw(st.integers(0, 4))
+    n = draw(st.integers(on_line + dim + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, dim))
+    pts[:on_line] = pts[0] + np.outer(rng.uniform(-2.0, 2.0, on_line), pts[1] - pts[0])
+    return _in_given_order(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clouds_in_order())
+def test_prefix_curve_volumes_grow_to_the_full_hull(case):
+    cloud, mv = case
+    curve, count = moment_prefix_curve(cloud, mv)
+    vols = np.array([vol for _, vol, _ in curve])
+    pts, d = cloud.points, cloud.dim
+    ranks = [np.linalg.matrix_rank(pts[1:i] - pts[0]) for i in range(1, cloud.size + 1)]
+    full_rank = np.array(ranks) == d
+    assert np.all(vols[~full_rank] == 0.0)
+    assert np.all(vols[full_rank] > 0.0)
+    assert np.all(np.diff(vols) >= 0.0)
+    full = convex_hull(cloud)
+    assert vols[-1] == pytest.approx(full.volume, rel=1e-12, abs=0.0)
+    assert count == full.vertex_count
 
 
 def test_prefix_curve_pivot_floor_raises(monkeypatch):
