@@ -3,7 +3,6 @@ Euclidean point clouds, with moment-based convex hull approximation."""
 
 from .datagen import DatasetSpec, generate
 from .errors import (
-    DegenerateInput,
     DuplicatePoints,
     FactorizationFailure,
     InvalidSpec,

@@ -40,7 +40,11 @@ class DatasetSpec:
 
 
 def _number(name: str, value, kind=float):
-    """A scalar parameter as a finite float (or int); InvalidSpec otherwise."""
+    """A scalar parameter as a finite float (or integral int); InvalidSpec otherwise."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidSpec(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -106,6 +110,8 @@ def _blobs_params(params, dim):
     if not isinstance(center_range, (list, tuple)) or len(center_range) != 2:
         raise InvalidSpec("center_range must be a pair [lo, hi]")
     lo, hi = (_number("center_range", v) for v in center_range)
+    if lo > hi:
+        raise InvalidSpec(f"center_range needs lo <= hi, got {center_range!r}")
     centers = params.get("center_coords")
     if centers is not None:
         try:

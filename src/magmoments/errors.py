@@ -38,9 +38,5 @@ class QuadratureDivergence(MagnitudeError):
     """Doubling the quadrature order changed the result beyond tolerance."""
 
 
-class DegenerateInput(MagnitudeError):
-    """Input points are affinely dependent where full dimension is required."""
-
-
 class InvalidSpec(MagnitudeError):
     """A dataset or experiment specification is malformed."""

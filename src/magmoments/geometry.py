@@ -36,7 +36,6 @@ class PointCloud:
     """
 
     points: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64, order="C")
@@ -46,8 +45,6 @@ class PointCloud:
             raise NonFinite("point coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError("labels length must match point count")
 
     @property
     def size(self) -> int:
@@ -86,13 +83,11 @@ class PointCloud:
 
     def subset(self, indices) -> "PointCloud":
         """Cloud restricted to ``indices``, preserving their order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        labels = tuple(self.labels[i] for i in idx) if self.labels else None
-        return PointCloud(self.points[idx], labels)
+        return PointCloud(self.points[np.asarray(indices, dtype=np.intp)])
 
     def scale_coordinates(self, t: float) -> "PointCloud":
         """Cloud with every coordinate multiplied by t (the space tX)."""
-        return PointCloud(self.points * float(t), self.labels)
+        return PointCloud(self.points * float(t))
 
     # -- serialization ----------------------------------------------------
 

@@ -14,7 +14,7 @@ S^{-1} = B = Y^T Y with Y = L^{-1} E_P, where L is A's Cholesky factor
 and E_P the columns of the identity at P. L is computed once per
 SimilarityMatrix (about N^3 / 3 flops) and kept on it. So a split costs
 one triangular solve with |P| right-hand sides, about N^2 |P| flops,
-plus O(N |P|^2) for B and O(|P|^3) to invert it.
+N |P|^2 for B and |P|^3 / 3 for B's Cholesky factor, with no inverse.
 
 One elimination of the Y block gives the weights of a union Z = W u Y,
 W = X \\ Y, from Y's weights alone, at the cost of one |W| and one |Y|
@@ -69,15 +69,9 @@ class SchurComplement:
     determinant: float
 
 
-def _removed_indices(sim: SimilarityMatrix, split: IndexSplit) -> np.ndarray:
-    """Removed index array of a split with both sides nonempty."""
-    if not split.removed:
-        raise ValueError("Schur complement undefined for an empty removed set")
-    if not split.kept:
-        raise ValueError("kept set must be nonempty")
-    if split.parent_size != sim.size:
-        raise ValueError("split size does not match matrix size")
-    return np.asarray(split.removed, dtype=np.intp)
+def _check_size(weights: WeightVector, points: int, name: str) -> None:
+    if weights.size != points:
+        raise ValueError(f"{name} has {weights.size} entries for {points} points")
 
 
 def _held_factor(sim: SimilarityMatrix) -> np.ndarray:
@@ -94,57 +88,64 @@ def _held_factor(sim: SimilarityMatrix) -> np.ndarray:
     return held["_cholesky"]
 
 
-def _complement(sim: SimilarityMatrix, removed: np.ndarray) -> np.ndarray:
-    """S = A / A_Pbar = B^{-1}, symmetrized, B = (zeta^{-1})_PP = Y^T Y, Y = L^{-1} E_P."""
+def _split_factor(sim: SimilarityMatrix, split: IndexSplit, weights=None):
+    """Check a split, and weights if given, against sim; factor B = (zeta^{-1})_PP.
+
+    Returns (removed indices, B, L_B, det S): B = Y^T Y, Y = L^{-1} E_P; L_B
+    is B's lower Cholesky factor, with B's entries left above the diagonal;
+    det S = 1 / det B, a product of reciprocal pivots that underflows to 0
+    quietly. None if weights are given and nothing is removed.
+    """
+    if weights is not None:
+        _check_size(weights, sim.size, "weights")
+        if weights.scale != sim.scale:
+            raise ValueError(f"weights at scale t={weights.scale} "
+                             f"but similarity matrix at t={sim.scale}")
+    if split.parent_size != sim.size:
+        raise ValueError("split size does not match matrix size")
+    if not split.removed:
+        if weights is not None:
+            return None
+        raise ValueError("Schur complement undefined for an empty removed set")
+    if not split.kept:
+        raise ValueError("kept set must be nonempty")
     import scipy.linalg  # here: CLI start-up skips scipy
 
+    removed = np.asarray(split.removed, dtype=np.intp)
     columns = np.zeros((sim.size, removed.size))
     columns[removed, np.arange(removed.size)] = 1.0
     y = scipy.linalg.solve_triangular(
         _held_factor(sim), columns, lower=True, check_finite=False
     )
-    s = scipy.linalg.cho_solve(
-        (_cholesky_lower(y.T @ y), True), np.eye(removed.size), check_finite=False
-    )
-    return 0.5 * (s + s.T)
+    b = y.T @ y
+    lower_b = _cholesky_lower(b.copy())  # the factor overwrites its argument
+    return removed, b, lower_b, float(np.prod(1.0 / np.diag(lower_b)) ** 2)
 
 
 def schur_complement(sim: SimilarityMatrix, split: IndexSplit) -> SchurComplement:
-    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T for the given split."""
-    s = _complement(sim, _removed_indices(sim, split))
-    s_lower = _cholesky_lower(s.copy())  # the factor overwrites its argument
-    det = float(np.prod(np.diag(s_lower)) ** 2)
-    return SchurComplement(s, det)
+    """A_P - A_{P,Pbar} A_Pbar^{-1} A_{P,Pbar}^T = B^{-1} for the given split."""
+    import scipy.linalg
 
-
-def _check_size(weights: WeightVector, points: int, name: str) -> None:
-    if weights.size != points:
-        raise ValueError(f"{name} has {weights.size} entries for {points} points")
-
-
-def _check_scale(weights: WeightVector, sim: SimilarityMatrix) -> None:
-    if weights.scale != sim.scale:
-        raise ValueError(
-            f"weights at scale t={weights.scale} but similarity matrix at t={sim.scale}"
-        )
+    _, b, lower_b, det = _split_factor(sim, split)
+    s = scipy.linalg.cho_solve((lower_b, True), np.eye(len(b)), check_finite=False)
+    return SchurComplement(0.5 * (s + s.T), det)
 
 
 def restricted_magnitude(
     weights: WeightVector, sim: SimilarityMatrix, split: IndexSplit
 ) -> float:
-    """Magnitude of the kept subset, without re-solving on it."""
-    _check_size(weights, split.parent_size, "weights")
-    _check_scale(weights, sim)
-    if not split.removed:
+    """Magnitude of the kept subset, |X| - ||L_B^{-1} w_P||^2, without re-solving."""
+    factored = _split_factor(sim, split, weights)
+    if factored is None:
         return weights.magnitude
-    removed = _removed_indices(sim, split)
-    s = _complement(sim, removed)
+    removed, _, lower_b, det = factored
     wp = weights.weights[removed]
-    if removed.size == 1:
-        # s w^2, rounded as restriction_bounds rounds detUpper and lower,
-        # so that at |P| = 1 all three agree exactly.
-        return weights.magnitude - float(s[0, 0] * (wp[0] * wp[0]))
-    return weights.magnitude - float(wp @ s @ wp)
+    if removed.size == 1:  # s w^2, s = det S: detUpper and lower round it alike
+        return weights.magnitude - det * float(wp[0] * wp[0])
+    import scipy.linalg
+
+    z = scipy.linalg.solve_triangular(lower_b, wp, lower=True, check_finite=False)
+    return weights.magnitude - float(z @ z)
 
 
 def restriction_bounds(
@@ -152,25 +153,26 @@ def restriction_bounds(
 ) -> tuple[float, float, float]:
     """Sandwich bounds (upper, detUpper, lower) on the restricted magnitude.
 
-    upper = |X|; detUpper = |X| - |P| det(S) min(w_P^2);
-    lower = |X| - lambda_max(S) ||w_P||^2, a Rayleigh-quotient bound on
-    the quadratic form w_P^T S w_P. The restricted magnitude lies in
+    upper = |X|; detUpper = |X| - |P| det(S) min(w_P^2); lower = |X| -
+    lambda_max(S) ||w_P||^2, a Rayleigh-quotient bound on w_P^T S w_P, with
+    lambda_max(S) = 1 / lambda_min(B). The restricted magnitude lies in
     [lower, detUpper] and detUpper <= upper. For well-separated points
     S approaches the identity and the bounds collapse to
     |X| >= |X \\ P| >= |X| - |P|. With nothing removed all three are |X|.
     """
-    _check_size(weights, split.parent_size, "weights")
-    _check_scale(weights, sim)
-    if not split.removed:
+    factored = _split_factor(sim, split, weights)
+    if factored is None:
         return (weights.magnitude,) * 3
     import scipy.linalg
 
-    removed = _removed_indices(sim, split)
-    spectrum = scipy.linalg.eigvalsh(_complement(sim, removed))
+    removed, b, _, det = factored
+    # At |P| = 1, S's one eigenvalue is det, rounded as restricted_magnitude's s.
+    largest = det if removed.size == 1 else 1.0 / float(
+        scipy.linalg.eigvalsh(b, subset_by_index=[0, 0], check_finite=False)[0])
     wp2 = weights.weights[removed] ** 2
     upper = weights.magnitude
-    det_upper = upper - removed.size * float(np.prod(spectrum)) * float(wp2.min())
-    lower = upper - float(spectrum.max()) * float(wp2.sum())
+    det_upper = upper - removed.size * det * float(wp2.min())
+    lower = upper - largest * float(wp2.sum())
     return upper, det_upper, lower
 
 

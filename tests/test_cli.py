@@ -222,6 +222,35 @@ def test_non_scalar_dataset_params_exit_two(tmp_path, capsys, kind, param):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        ("blobs", "centers=2.5"),
+        ("blobs", "centers=true"),
+        ("blobs", "sigma=true"),
+        ("blobs", "center_range=[3,-3]"),
+        ("blobs", "center_range=[false,3]"),
+        ("annulus", "inner=false"),
+        ("square", "side=true"),
+        ("moons", "noise=false"),
+    ],
+)
+def test_boolean_fractional_or_reversed_params_exit_two(tmp_path, capsys, kind, param):
+    out = tmp_path / "pts.csv"
+    assert run_cli("datagen", "--kind", kind, "--n", "10", "--seed", "1",
+                   "--out", str(out), "--param", param) == 2
+    assert param.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_centers_give_the_same_cloud(tmp_path):
+    outs = [tmp_path / "int.csv", tmp_path / "float.csv"]
+    for out, centers in zip(outs, ("centers=2", "centers=2.0")):
+        assert run_cli("datagen", "--kind", "blobs", "--n", "30", "--seed", "4",
+                       "--out", str(out), "--param", centers) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_numeric_failure_exits_one(tmp_path, capsys):
     bad = tmp_path / "dup.csv"
     bad.write_text("x0,x1\n0,0\n0,0\n1,1\n")

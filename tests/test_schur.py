@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magmoments import (
+    DatasetSpec,
     IndexSplit,
     OverlapAmbiguity,
     PointCloud,
     build_similarity,
+    generate,
     restricted_magnitude,
     restriction_bounds,
     schur_complement,
@@ -79,6 +82,17 @@ def test_restriction_rejects_wrong_size_weights():
             fn(short, sim, split)
 
 
+def test_restriction_checks_sizes_with_nothing_removed():
+    _, sim, wv = _setup(np.array([[0.0], [1.0]]))
+    longer = weights_at_scale(PointCloud(np.array([[0.0], [1.0], [2.5]])), 1.0)
+    keep_all = IndexSplit(kept=(0, 1, 2), removed=(), parent_size=3)
+    for fn in (restricted_magnitude, restriction_bounds):
+        with pytest.raises(ValueError, match="weights has 3 entries for 2 points"):
+            fn(longer, sim, keep_all)
+        with pytest.raises(ValueError, match="split size does not match matrix size"):
+            fn(wv, sim, keep_all)
+
+
 def test_restriction_rejects_weights_at_another_scale():
     rng = np.random.default_rng(33)
     cloud, sim, _ = _setup(rng.normal(size=(12, 2)), t=2.0)
@@ -138,6 +152,21 @@ def test_determinant_ratio_identity():
     assert comp.determinant == pytest.approx(det_full / det_kept, rel=1e-9)
 
 
+def test_tiny_determinant_underflows_quietly():
+    # det S = prod(1 / diag L_B)^2 is far below the smallest double here.
+    n, t = 800, 0.25
+    cloud = generate(DatasetSpec("gaussian-blobs", n, 3, seed=7))
+    sim = build_similarity(cloud, t)
+    wv = solve_weights(sim)
+    perm = np.random.default_rng(35).permutation(n)
+    split = IndexSplit(perm[790:], perm[:790], n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert schur_complement(sim, split).determinant == 0.0
+        upper, det_upper, _ = restriction_bounds(wv, sim, split)
+    assert det_upper == upper
+
+
 def test_large_scale_bounds_reduce_to_count():
     # At large t the sandwich collapses to N >= N - |P| with weights ~ 1.
     rng = np.random.default_rng(25)
@@ -167,13 +196,14 @@ def test_epsilon_removal_guarantee():
 
 
 @st.composite
-def _cloud_and_split(draw):
-    """A normal cloud, N <= 40 and d <= 4, a scale and a split with 1 <= |P| < N."""
+def _cloud_and_split(draw, most_removed=None):
+    """A normal cloud, N <= 40 and d <= 4, a scale and a split with 1 <= |P| < N
+    (and |P| <= most_removed, if given)."""
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=4))
     t = draw(st.floats(min_value=0.05, max_value=5.0))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    n_removed = draw(st.integers(min_value=1, max_value=n - 1))
+    n_removed = draw(st.integers(min_value=1, max_value=min(n - 1, most_removed or n)))
     order = draw(st.permutations(range(n)))
     pts = np.random.default_rng(seed).normal(size=(n, d))
     return pts, t, IndexSplit(order[n_removed:], order[:n_removed], n)
@@ -194,6 +224,17 @@ def test_restriction_on_random_splits(case):
     comp = schur_complement(sim, split)
     want = oracles.dense_schur(pts, split.removed, t)
     assert np.abs(comp.matrix - want).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cloud_and_split(most_removed=1))
+def test_single_removal_sandwich_is_exact(case):
+    # At |P| = 1 all three restrictions read one rounded s w^2.
+    pts, t, split = case
+    _, sim, wv = _setup(pts, t)
+    upper, det_upper, lower = restriction_bounds(wv, sim, split)
+    restricted = restricted_magnitude(wv, sim, split)
+    assert upper >= det_upper >= restricted >= lower
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,19 +264,26 @@ def test_restrictions_share_one_factor(cholesky_calls):
     from magmoments import schur
 
     # Every split works from zeta's held factor: one N x N factorization
-    # for all ten, then only |P| x |P| ones.
+    # for all ten, and each call factors one |P| x |P| matrix, B.
     rng = np.random.default_rng(34)
     n = 30
     _, sim, wv = _setup(rng.normal(size=(n, 3)))
     cholesky_calls.clear()
+    per_call, want = [], []
     for k in range(1, 11):
         removed = tuple(rng.choice(n, size=k, replace=False))
         split = IndexSplit(tuple(set(range(n)) - set(removed)), removed, n)
-        restricted_magnitude(wv, sim, split)
-        restriction_bounds(wv, sim, split)
-        schur_complement(sim, split)
+        for call in (
+            lambda: restricted_magnitude(wv, sim, split),
+            lambda: restriction_bounds(wv, sim, split),
+            lambda: schur_complement(sim, split),
+        ):
+            start = len(cholesky_calls)
+            call()
+            per_call.append([size for size in cholesky_calls[start:] if size != n])
+            want.append([k])
     assert cholesky_calls.count(n) == 1
-    assert max(size for size in cholesky_calls if size != n) <= 10
+    assert per_call == want
     assert not schur._held_factor(sim).flags.writeable
 
 
