@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,7 +134,8 @@ class PointCloud:
 class SimilarityMatrix:
     """Dense N x N matrix exp(-t * distance), with scale t.
 
-    Symmetric, unit diagonal, entries in (0, 1], positive definite.
+    Symmetric, unit diagonal, entries in (0, 1], positive definite. A
+    non-square ``entries`` or a scale outside (0, inf) raises ValueError.
     """
 
     entries: np.ndarray
@@ -141,10 +143,12 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.entries, dtype=np.float64))
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"entries must be a square matrix, not shape {m.shape}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, not {self.scale}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     @property
     def size(self) -> int:

@@ -10,11 +10,11 @@ complement S of the kept block. By the block-inverse identity
 
     A / A_Pbar = ((A^{-1})_PP)^{-1},
 
-S^{-1} = B = Y^T Y with Y = L^{-1} E_P, where L is A's Cholesky factor
-and E_P the columns of the identity at P. L is computed once per
-SimilarityMatrix (about N^3 / 3 flops) and kept on it. So a split costs
-one triangular solve with |P| right-hand sides, about N^2 |P| flops,
-N |P|^2 for B and |P|^3 / 3 for B's Cholesky factor, with no inverse.
+S^{-1} = B = (A^{-1})_PP. A^{-1} is computed once per SimilarityMatrix
+(a Cholesky factorization, then LAPACK's dpotri in the factor's memory:
+about N^3 flops) and kept on it, one N x N array. So a split costs a
+gather of B's |P|^2 entries and |P|^3 / 3 flops for B's Cholesky factor;
+S is formed only as schur_complement's return value.
 
 One elimination of the Y block gives the weights of a union Z = W u Y,
 W = X \\ Y, from Y's weights alone, at the cost of one |W| and one |Y|
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlapAmbiguity
+from .errors import FactorizationFailure, OverlapAmbiguity
 from .geometry import (
     DUPLICATE_TOL,
     PointCloud,
@@ -74,27 +74,40 @@ def _check_size(weights: WeightVector, points: int, name: str) -> None:
         raise ValueError(f"{name} has {weights.size} entries for {points} points")
 
 
-def _held_factor(sim: SimilarityMatrix) -> np.ndarray:
-    """zeta's lower Cholesky factor L, computed on first use and kept on sim.
+def _held_inverse(sim: SimilarityMatrix) -> np.ndarray:
+    """zeta^{-1}, computed on first use and kept on sim.
 
-    Read-only; it holds another 8 N^2 bytes for the matrix's lifetime.
+    zeta's Cholesky factor (N^3 / 3 flops, PIVOT_FLOOR applies) is
+    overwritten by dpotri's L^{-T} L^{-1} (2 N^3 / 3 flops), so the matrix
+    holds one more N x N array, 8 N^2 bytes, read-only, for its lifetime.
+    Each split then reads its |P|^2 entries of B, with no N-sized work.
     """
-    # The matrix is frozen; like a cached_property, the factor goes in its __dict__.
+    # The matrix is frozen; like a cached_property, the inverse goes in its __dict__.
     held = vars(sim)
-    if "_cholesky" not in held:
+    if "_inverse" not in held:
+        from scipy.linalg.lapack import dpotri  # here: CLI start-up skips scipy
+
         lower = _cholesky_lower(sim.entries.copy())
-        lower.setflags(write=False)
-        held["_cholesky"] = lower
-    return held["_cholesky"]
+        inverse, info = dpotri(lower, lower=1, overwrite_c=1)  # in lower's memory
+        if info != 0:
+            raise FactorizationFailure(f"Cholesky inverse failed: pivot {info} is zero")
+        # dpotri fills the lower triangle; mirror it in place, column by column.
+        for j in range(1, sim.size):
+            inverse[:j, j] = inverse[j, :j]
+        inverse.setflags(write=False)
+        # Symmetric, so its transpose is the same matrix in C order, as the
+        # flat gather in _split_factor needs.
+        held["_inverse"] = inverse.T
+    return held["_inverse"]
 
 
 def _split_factor(sim: SimilarityMatrix, split: IndexSplit, weights=None):
     """Check a split, and weights if given, against sim; factor B = (zeta^{-1})_PP.
 
-    Returns (removed indices, B, L_B, det S): B = Y^T Y, Y = L^{-1} E_P; L_B
-    is B's lower Cholesky factor, with B's entries left above the diagonal;
-    det S = 1 / det B, a product of reciprocal pivots that underflows to 0
-    quietly. None if weights are given and nothing is removed.
+    Returns (removed indices, B, L_B, det S): B is gathered from the held
+    zeta^{-1}; L_B is B's lower Cholesky factor, with B's entries left above
+    the diagonal; det S = 1 / det B, a product of reciprocal pivots that
+    underflows to 0 quietly. None if weights are given and nothing is removed.
     """
     if weights is not None:
         _check_size(weights, sim.size, "weights")
@@ -109,15 +122,9 @@ def _split_factor(sim: SimilarityMatrix, split: IndexSplit, weights=None):
         raise ValueError("Schur complement undefined for an empty removed set")
     if not split.kept:
         raise ValueError("kept set must be nonempty")
-    import scipy.linalg  # here: CLI start-up skips scipy
-
     removed = np.asarray(split.removed, dtype=np.intp)
-    columns = np.zeros((sim.size, removed.size))
-    columns[removed, np.arange(removed.size)] = 1.0
-    y = scipy.linalg.solve_triangular(
-        _held_factor(sim), columns, lower=True, check_finite=False
-    )
-    b = y.T @ y
+    # zeta^{-1}[P, P] by flat index into the C-ordered inverse: |P|^2 reads.
+    b = _held_inverse(sim).take(removed[:, None] * sim.size + removed)
     lower_b = _cholesky_lower(b.copy())  # the factor overwrites its argument
     return removed, b, lower_b, float(np.prod(1.0 / np.diag(lower_b)) ** 2)
 

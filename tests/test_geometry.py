@@ -12,6 +12,7 @@ from magmoments import (
     DuplicatePoints,
     NonFinite,
     PointCloud,
+    SimilarityMatrix,
     build_similarity,
     pairwise_distances,
 )
@@ -133,6 +134,18 @@ def test_invalid_scale():
         build_similarity(cloud, 0.0)
     with pytest.raises(ValueError):
         build_similarity(cloud, -1.0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_similarity_matrix_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        SimilarityMatrix(np.eye(2), scale)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_similarity_matrix_rejects_non_square_entries(shape):
+    with pytest.raises(ValueError, match="square"):
+        SimilarityMatrix(np.ones(shape), 1.0)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -263,7 +263,7 @@ def test_union_on_random_splits(case, data):
 def test_restrictions_share_one_factor(cholesky_calls):
     from magmoments import schur
 
-    # Every split works from zeta's held factor: one N x N factorization
+    # Every split gathers B from zeta's held inverse: one N x N factorization
     # for all ten, and each call factors one |P| x |P| matrix, B.
     rng = np.random.default_rng(34)
     n = 30
@@ -284,7 +284,47 @@ def test_restrictions_share_one_factor(cholesky_calls):
             want.append([k])
     assert cholesky_calls.count(n) == 1
     assert per_call == want
-    assert not schur._held_factor(sim).flags.writeable
+    held = schur._held_inverse(sim)
+    assert not held.flags.writeable
+    inverse = np.linalg.inv(sim.entries)
+    assert np.abs(held - inverse).max() <= 1e-10 * np.abs(inverse).max()
+
+
+def test_held_inverse_is_the_one_extra_array():
+    import tracemalloc
+
+    # The first restriction factors a copy of zeta and inverts it in the
+    # copy's memory: one N x N array is added, at the peak and after.
+    rng = np.random.default_rng(35)
+    n = 300
+    _, sim, wv = _setup(rng.normal(size=(n, 3)))
+    split = IndexSplit(tuple(range(10, n)), tuple(range(10)), n)
+    tracemalloc.start()
+    try:
+        restricted_magnitude(wv, sim, split)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = 8 * n * n
+    assert nbytes <= held <= peak < 1.5 * nbytes
+
+
+@pytest.mark.parametrize("n_removed", [151, 290, 299])
+def test_large_splits_match_direct_solve(n_removed):
+    # Past N/2, down to one kept point, whose magnitude is exactly 1.
+    n, t = 300, 1.0
+    cloud, sim, wv = _setup(np.random.default_rng(36).normal(size=(n, 3)), t)
+    order = np.random.default_rng(37).permutation(n)
+    split = IndexSplit(order[n_removed:], order[:n_removed], n)
+    restricted = restricted_magnitude(wv, sim, split)
+    direct = weights_at_scale(cloud.subset(split.kept), t).magnitude
+    assert abs(restricted - direct) <= 1e-10 * abs(direct)
+    if n_removed == n - 1:
+        assert restricted == pytest.approx(1.0, abs=1e-12)
+    upper, det_upper, lower = restriction_bounds(wv, sim, split)
+    slack = 1e-10 * abs(upper)
+    assert lower - slack <= restricted <= det_upper + slack
+    assert det_upper <= upper + slack
 
 
 def test_union_subset_returns_given_weights():
