@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -201,8 +200,6 @@ def _cmd_hull(args) -> int:
 def _cmd_hull_approx(args) -> int:
     cloud = _load_cloud(args.input)
     epsilon = float(args.epsilon)
-    if epsilon < 0 or math.isnan(epsilon):
-        raise ValueError("epsilon must be nonnegative")
     rule = gauss_laguerre_rule(args.order)
     hull, report = hull_filter.approximate_hull(
         cloud, epsilon, rule, convention=args.threshold_convention

@@ -16,8 +16,8 @@ Two threshold conventions are available:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from math import factorial
 
 import numpy as np
 
@@ -53,6 +53,13 @@ def _ascending_order(mu0: np.ndarray) -> np.ndarray:
     return np.argsort(mu0, kind="stable")
 
 
+def _check_budget(epsilon: float, convention: str) -> None:
+    if not epsilon >= 0:  # also rejects NaN
+        raise ValueError("epsilon must be nonnegative")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown threshold convention {convention!r}")
+
+
 def filter_by_moment(
     cloud: PointCloud,
     moments: MomentVector,
@@ -62,20 +69,20 @@ def filter_by_moment(
 ) -> FilterReport:
     """Remove the longest low-moment prefix admitted by the budget epsilon.
 
-    The threshold denominator uses the cloud's magnitude at scale t=1.
+    The threshold denominator uses the cloud's magnitude at scale t=1; a
+    caller that holds it passes it in, and it must be positive and finite.
     Removal never goes below d+1 kept points so the returned set can
     still carry a full-dimensional hull.
     """
-    if not epsilon >= 0:  # also rejects NaN
-        raise ValueError("epsilon must be nonnegative")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown threshold convention {convention!r}")
+    _check_budget(epsilon, convention)
     n = cloud.size
     d = cloud.dim
     if moments.mu0.shape[0] != n:
         raise ValueError("moment vector does not match cloud size")
     if magnitude_at_one is None:
         magnitude_at_one = weights_at_scale(cloud, 1.0).magnitude
+    elif not 0 < magnitude_at_one < math.inf:  # also rejects NaN
+        raise ValueError("magnitude_at_one must be positive and finite")
 
     order = _ascending_order(moments.mu0)
     mu_sorted = moments.mu0[order]
@@ -110,6 +117,7 @@ def approximate_hull(
     The kept points are hulled in the cloud's order, so with nothing
     removed the result is the full cloud's hull, bit for bit.
     """
+    _check_budget(epsilon, convention)  # before the node loop
     moments = zeroth_moments(cloud, rule, estimate_error=False)
     report = filter_by_moment(cloud, moments, epsilon, convention)
     kept = np.sort(np.asarray(report.kept_indices, dtype=np.intp))
@@ -202,7 +210,7 @@ def _beneath_beyond(pts: np.ndarray, size: int, slack: float) -> tuple[np.ndarra
     equations = seed.equations  # inside: eq[:d] . x + eq[d] <= 0
     interior = pts[seed.vertices].mean(axis=0)
     volume = seed.volume
-    d_factorial = factorial(d)
+    d_factorial = math.factorial(d)
     drop_one = np.array([[j for j in range(d) if j != k] for k in range(d)])
     cofactor_sign = (-1.0) ** np.arange(d)
 

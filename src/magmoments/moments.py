@@ -8,12 +8,14 @@ a scale-free importance score that is larger for extremal points. The
 generalized moments mu_n insert a factor t^n, and the shifted Laplace
 transform inserts e^{-s t}. All of them discretize the integral with a
 Gauss-Laguerre rule whose weights absorb the e^{-t} factor, and share one
-node loop that differs only in the per-node factor f_k.
+node loop that differs only in the per-node factor f_k. The loop is the one
+place the sum is formed: it adds omega_k f_k w_{t_k}^2 to acc_i node by node
+and returns acc.
 
 The loop stops solving at the first node t_k whose remaining contribution is
-proved negligible, and puts in w = 1 from there on. With acc_i the sum so far
-over nodes j < k, T_k = sum_{j >= k} omega_j f_j the rule's remaining
-weight, N points and u = 2^-53, the cut needs a certificate that
+proved negligible, and adds the rule's remaining weight as w = 1. With acc_i
+the sum so far over nodes j < k, T_k = sum_{j >= k} omega_j f_j that
+remaining weight, N points and u = 2^-53, the cut needs a certificate that
 
     lambda_min(Z_{t_k}) >= sigma_k = sqrt(T_k N / (u min_i acc_i)),
 
@@ -147,25 +149,24 @@ class MomentVector:
         object.__setattr__(self, "mu0", mu0)
 
 
-def _node_weights(
+def _node_sums(
     cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray, power: int = 2
 ) -> np.ndarray:
-    """w_{t_k}(x_i) as an (order, N) array, w = 1 past the certified cut.
+    """sum_k omega_k factor_k g_k in node order, w = 1 past the certified cut.
 
-    The integrand is w_i^2 per point for ``power`` 2 and sum_i w_i for
-    ``power`` 1; either is at most N / lambda_min(Z_t)^power, and the cut
-    needs its tail, weighted by ``factor``, below u times the smallest
-    partial sum.
+    The integrand g_k is w_{t_k}(x_i)^2 per point for ``power`` 2 and
+    sum_i w_{t_k}(x_i), one value, for ``power`` 1; either is at most
+    N / lambda_min(Z_t)^power, and the cut needs its tail, weighted by
+    ``factor``, below u times the smallest partial sum.
     """
     n = cloud.distances.shape[0]  # the duplicate check, before any node
-    if n == 1:
-        return np.ones((rule.order, 1))
     u = np.finfo(np.float64).eps / 2
     weighted = rule.weights * factor
     tail = np.cumsum(weighted[::-1])[::-1]
+    if n == 1:
+        return np.full(1, tail[0])
     acc = np.zeros(n if power == 2 else 1)
     attempt = TAIL_CUT_START
-    rows = []
     workers = worker_count(rule.order) if n >= POOL_FLOOR else 1
 
     def solve(t):  # the cloud, with its distances, reaches workers by fork
@@ -179,16 +180,15 @@ def _node_weights(
             if floor > 0 and need <= attempt**power * floor:
                 sigma = (need / floor) ** (1 / power)
                 if _certify_lambda_min(cloud, t, sigma):
-                    rows.extend([np.ones(n)] * (rule.order - k))
+                    acc += tail[k] if power == 2 else n * tail[k]
                     break
                 attempt = sigma / 16
             try:
                 w = next(solved)
             except FactorizationFailure as exc:
                 raise FactorizationFailure(f"at quadrature node t={t}: {exc}") from exc
-            rows.append(w)
             acc += weighted[k] * (w**2 if power == 2 else w.sum())
-    return np.vstack(rows)
+    return acc
 
 
 def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
@@ -233,13 +233,6 @@ def _certify_lambda_min(cloud: PointCloud, t: float, sigma: float) -> bool:
     return info == 0
 
 
-def _moment_sum(
-    cloud: PointCloud, rule: QuadratureRule, factor: np.ndarray
-) -> np.ndarray:
-    """sum_k omega_k factor_k w_{t_k}(x_i)^2 for every point x_i."""
-    return (rule.weights * factor) @ _node_weights(cloud, rule, factor) ** 2
-
-
 def zeroth_moments(
     cloud: PointCloud, rule: QuadratureRule | None = None, estimate_error: bool = True
 ) -> MomentVector:
@@ -248,13 +241,12 @@ def zeroth_moments(
     The error estimate compares against the rule of double order; a
     relative change above DIVERGENCE_TOL raises QuadratureDivergence.
     """
-    if rule is None:
-        rule = gauss_laguerre_rule()
-    mu0 = _moment_sum(cloud, rule, np.ones(rule.order))
+    rule = rule or gauss_laguerre_rule()
+    mu0 = _node_sums(cloud, rule, np.ones(rule.order))
     err = np.nan
     if estimate_error:
         fine = _double_order(rule)
-        mu0_fine = _moment_sum(cloud, fine, np.ones(fine.order))
+        mu0_fine = _node_sums(cloud, fine, np.ones(fine.order))
         diff = np.abs(mu0 - mu0_fine)
         err = float(diff.max())
         rel = diff / np.maximum(np.abs(mu0_fine), 1e-300)
@@ -275,27 +267,23 @@ def higher_moments(
     cloud: PointCloud, n: int, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """mu_n: sum_k omega_k t_k^n w_{t_k}(x_i)^2."""
-    if n < 0:
+    if not n >= 0:  # also rejects NaN
         raise ValueError("moment order n must be nonnegative")
-    if rule is None:
-        rule = gauss_laguerre_rule()
-    return _moment_sum(cloud, rule, rule.nodes**n)
+    rule = rule or gauss_laguerre_rule()
+    return _node_sums(cloud, rule, rule.nodes**n)
 
 
 def laplace_moment(
     cloud: PointCloud, s: float, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """Shifted Laplace transform of w_t^2: sum_k omega_k e^{-s t_k} w^2."""
-    if s < 0:
+    if not s >= 0:  # also rejects NaN
         raise ValueError("shift s must be nonnegative")
-    if rule is None:
-        rule = gauss_laguerre_rule()
-    return _moment_sum(cloud, rule, np.exp(-s * rule.nodes))
+    rule = rule or gauss_laguerre_rule()
+    return _node_sums(cloud, rule, np.exp(-s * rule.nodes))
 
 
 def magnitude_moment(cloud: PointCloud, rule: QuadratureRule | None = None) -> float:
     """Integral of e^{-t} |tX| dt, discretized over the rule's nodes."""
-    if rule is None:
-        rule = gauss_laguerre_rule()
-    rows = _node_weights(cloud, rule, np.ones(rule.order), power=1)
-    return float(rule.weights @ rows.sum(axis=1))
+    rule = rule or gauss_laguerre_rule()
+    return float(_node_sums(cloud, rule, np.ones(rule.order), power=1)[0])

@@ -187,11 +187,12 @@ def _match_points(cloud_x: PointCloud, cloud_y: PointCloud):
     """Map each point of Y to its exact-coordinate match in X, if any.
 
     Near-matches (within the duplicate tolerance but not exactly equal)
-    are ambiguous for the block decomposition and rejected.
+    are ambiguous for the block decomposition and rejected. Rows are keyed
+    by value: adding 0.0 maps -0.0 to +0.0.
     """
-    x_rows = {row.tobytes(): i for i, row in enumerate(cloud_x.points)}
+    x_rows = {row.tobytes(): i for i, row in enumerate(cloud_x.points + 0.0)}
     mapping = {}
-    for j, row in enumerate(cloud_y.points):
+    for j, row in enumerate(cloud_y.points + 0.0):
         i = x_rows.get(row.tobytes())
         if i is not None:
             mapping[j] = i

@@ -7,7 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from magmoments import FactorizationFailure, PointCloud, cli, moments, weights_at_scale
+from magmoments import (
+    FactorizationFailure,
+    PointCloud,
+    cli,
+    hull_filter,
+    moments,
+    weights_at_scale,
+)
 from magmoments.cli import main
 
 
@@ -72,6 +79,20 @@ def test_moments_rejects_bad_scale_before_the_node_loop(
                    "--out", str(tmp_path / "m.csv")) == 2
     assert "scale t must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan"])
+def test_hull_approx_rejects_bad_epsilon_before_the_node_loop(
+    blob_csv, tmp_path, monkeypatch, capsys, epsilon
+):
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the node loop ran")
+
+    monkeypatch.setattr(hull_filter, "zeroth_moments", no_loop)
+    assert run_cli("hull-approx", "--input", str(blob_csv), "--epsilon", epsilon,
+                   "--out", str(tmp_path / "approx.json")) == 2
+    assert "epsilon must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "approx.json").exists()
 
 
 def test_node_failure_in_a_pool_exits_one(blob_csv, tmp_path, monkeypatch, capsys,

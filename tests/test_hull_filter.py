@@ -127,6 +127,27 @@ def test_nan_epsilon_rejected():
         filter_by_moment(cloud, _moments(cloud), float("nan"))
 
 
+@pytest.mark.parametrize(
+    "epsilon, convention", [(-1.0, "derived"), (math.nan, "derived"), (1.0, "other")]
+)
+def test_approximate_hull_checks_its_budget_before_the_node_loop(
+    monkeypatch, epsilon, convention
+):
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the node loop ran")
+
+    monkeypatch.setattr(hull_filter, "zeroth_moments", no_loop)
+    with pytest.raises(ValueError):
+        approximate_hull(_blob_cloud(n=10), epsilon, convention=convention)
+
+
+@pytest.mark.parametrize("magnitude_at_one", [math.nan, -1.0, 0.0, math.inf])
+def test_bad_magnitude_at_one_rejected(magnitude_at_one):
+    cloud = _blob_cloud(n=30)
+    with pytest.raises(ValueError, match="magnitude_at_one"):
+        filter_by_moment(cloud, _moments(cloud), 0.5, magnitude_at_one=magnitude_at_one)
+
+
 def test_triangle_plus_centroid():
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0 / 3, 4.0 / 3]])
     cloud = PointCloud(pts)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magmoments import (
@@ -97,6 +97,19 @@ def test_laplace_trivials():
     assert laplace_moment(SINGLE, 3.0) == pytest.approx([0.25], abs=1e-10)
 
 
+@pytest.mark.parametrize("evaluate", [higher_moments, laplace_moment],
+                         ids=["higher_moments", "laplace_moment"])
+@pytest.mark.parametrize("arg", [-1, float("nan")])
+def test_negative_or_nan_order_and_shift_rejected(monkeypatch, evaluate, arg):
+    def no_solve(cloud, t):
+        raise AssertionError("a node was solved")
+
+    monkeypatch.setattr(moments, "weights_at_scale", no_solve)
+    cloud = PointCloud(np.random.default_rng(35).normal(size=(20, 2)))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        evaluate(cloud, arg)
+
+
 def test_magnitude_moment():
     assert magnitude_moment(SINGLE) == pytest.approx(1.0, abs=1e-12)
     # Widely separated points act like singletons.  The residual is
@@ -110,13 +123,26 @@ def test_magnitude_moment():
     )
 
 
-def test_permutation_invariance():
-    rng = np.random.default_rng(32)
-    pts = rng.normal(size=(15, 2))
-    perm = rng.permutation(15)
+@settings(max_examples=60, deadline=None)
+@example(15, 2, 0.0, 32)
+@given(
+    st.integers(2, 40),
+    st.integers(2, 5),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_moments_follow_a_random_permutation(n, dim, log_scale, seed):
+    # Permuting the points permutes the order of Cholesky's elimination,
+    # which moves each weight by about cond(Z_t) u. At a standard deviation
+    # of 1-10 and d >= 2 the worst change seen over 3000 clouds was 3.6e-13
+    # relative; smaller or 1-D clouds are worse conditioned at the smallest
+    # node (7.8e-11 at d = 1, N = 28, deviation 1.8).
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim)) * 10.0**log_scale
+    perm = rng.permutation(n)
     mu = zeroth_moments(PointCloud(pts), estimate_error=False).mu0
     mu_perm = zeroth_moments(PointCloud(pts[perm]), estimate_error=False).mu0
-    assert np.abs(mu[perm] - mu_perm).max() < 1e-8
+    assert np.abs(mu_perm / mu[perm] - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

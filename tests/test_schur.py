@@ -404,6 +404,18 @@ def test_union_overlapping_matches_direct_solve():
     assert np.abs(wz.weights - direct.weights).max() < 1e-8
 
 
+def test_union_matches_signed_zeros_by_value():
+    x = PointCloud(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]))
+    y = PointCloud(np.array([[-0.0, 1.0], [2.0, -0.0], [-1.0, -2.0]]))
+    z = union_cloud(x, y)
+    assert z.size == 4
+    assert np.array_equal(z.points[:1], x.points[2:])
+    assert np.array_equal(z.points[1:], y.points)
+    wz = union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 1.0))
+    direct = weights_at_scale(z, 1.0)
+    assert np.abs(wz.weights - direct.weights).max() < 1e-8
+
+
 def test_union_rejects_near_matches():
     x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     y = PointCloud(np.array([[1.0 + 1e-14, 0.0]]))
