@@ -9,7 +9,6 @@ calls the corresponding module, and writes the result atomically
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -17,18 +16,15 @@ import numpy as np
 
 from . import datagen, experiments, hull_filter
 from .errors import InvalidSpec, MagnitudeError
-from .experiments import _atomic_write
-from .geometry import PointCloud
+from .geometry import FLOAT_FMT, PointCloud, atomic_write
 from .hull_exact import convex_hull, to_off
 from .magnitude import magnitude_function, weights_at_scale
 from .moments import gauss_laguerre_rule, zeroth_moments
 
-FLOAT_FMT = "%.17g"
-
 
 def _write_or_print(path, text: str) -> None:
     if path:
-        _atomic_write(path, text)
+        atomic_write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -118,10 +114,7 @@ def _cmd_datagen(args) -> int:
             params[key] = value
     kind = {"moons": "noisy-moons", "blobs": "gaussian-blobs"}.get(args.kind, args.kind)
     spec = datagen.DatasetSpec(kind, args.n, args.dim, args.seed, params)
-    cloud = datagen.generate(spec)
-    buf = io.StringIO()
-    cloud.write_csv(buf)
-    _atomic_write(args.out, buf.getvalue())
+    datagen.generate(spec).to_csv(args.out)
     return 0
 
 
@@ -191,9 +184,9 @@ def _cmd_hull(args) -> int:
     # 12 significant digits for the printed volume.
     sys.stdout.write("volume %.12g\n" % hull.volume)
     if args.off:
-        _atomic_write(args.off, to_off(hull))
+        atomic_write(args.off, to_off(hull))
     if args.out:
-        _atomic_write(args.out, json.dumps(report, indent=2) + "\n")
+        atomic_write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -214,7 +207,7 @@ def _cmd_hull_approx(args) -> int:
         "approxHull": _hull_report(hull),
         "fullHull": _hull_report(full),
     }
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

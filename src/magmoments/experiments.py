@@ -39,12 +39,11 @@ import numpy as np
 
 from .datagen import DatasetSpec, generate
 from .errors import MagnitudeError
+from .geometry import FLOAT_FMT, atomic_write
 from .hull_exact import convex_hull
 from .hull_filter import moment_prefix_curve
 from .moments import gauss_laguerre_rule, zeroth_moments
 from .parallel import ordered_map, worker_count
-
-FLOAT_FMT = "%.17g"
 
 #: Prefix-curve store that table1 writes and curves reads, in the out dir.
 CURVE_STORE = "curves.npz"
@@ -220,9 +219,7 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(
-            os.path.join(out_dir, "summary.csv"), _summary_csv(rows)
-        )
+        atomic_write(os.path.join(out_dir, "summary.csv"), _summary_csv(rows))
         lines = []
         for r in records:
             lines.append(
@@ -239,7 +236,7 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
             )
         for f in failures:
             lines.append(json.dumps({"failure": f}))
-        _atomic_write(os.path.join(out_dir, "trials.jsonl"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(out_dir, "trials.jsonl"), "\n".join(lines) + "\n")
         store = io.BytesIO()
         np.savez(
             store,
@@ -249,7 +246,7 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
                 for r in records
             },
         )
-        _atomic_write(os.path.join(out_dir, CURVE_STORE), store.getvalue())
+        atomic_write(os.path.join(out_dir, CURVE_STORE), store.getvalue())
     return rows
 
 
@@ -320,16 +317,17 @@ def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
             lines = ["i,vol,mag"]
             for i, vol, mag in curve:
                 lines.append(f"{i},{FLOAT_FMT % vol},{FLOAT_FMT % mag}")
-            _atomic_write(csv_path, "\n".join(lines) + "\n")
+            atomic_write(csv_path, "\n".join(lines) + "\n")
             svg_path = os.path.join(curves_dir, stem + ".svg")
-            _atomic_write(svg_path, _curve_svg(curve, config.volume_fraction))
+            atomic_write(svg_path, _curve_svg(curve, config.volume_fraction))
             written.extend([csv_path, svg_path])
     return written
 
 
-def _curve_svg(curve, fraction, width=640, height=400, margin=40) -> str:
+def _curve_svg(curve, fraction) -> str:
     """Hand-emitted SVG: volume and magnitude polylines, a horizontal rule
     where the volume reaches the target fraction, and axis ticks."""
+    width, height, margin = 640, 400, 40
     n = curve[-1][0]
     full_vol = curve[-1][1] or 1.0
     full_mag = curve[-1][2] or 1.0
@@ -366,16 +364,3 @@ def _curve_svg(curve, fraction, width=640, height=400, margin=40) -> str:
 {''.join(ticks)}
 </svg>
 """
-
-
-def _atomic_write(path: str, data: str | bytes) -> None:
-    """Write through ``path + ".tmp"``; a failed write leaves neither file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise

@@ -8,8 +8,10 @@ symmetric positive definite for distinct Euclidean points.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +23,8 @@ from .errors import DuplicatePoints, NonFinite
 #: The underlying theory gives no such tolerance; this is our choice.
 DUPLICATE_TOL = 1e-12
 
-_FLOAT_FMT = "%.17g"
+#: Float format of the CSV and OFF files: 17 significant digits read back exactly.
+FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,16 @@ class PointCloud:
 
     # -- serialization ----------------------------------------------------
 
-    def to_csv(self, path, header: bool = True) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh, header=header)
+    def to_csv(self, path) -> None:
+        text = io.StringIO()
+        self.write_csv(text)
+        atomic_write(path, text.getvalue())
 
-    def write_csv(self, fh, header: bool = True) -> None:
+    def write_csv(self, fh) -> None:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{i}" for i in range(self.dim)])
+        writer.writerow([f"x{i}" for i in range(self.dim)])
         for row in self.points:
-            writer.writerow([_FLOAT_FMT % v for v in row])
+            writer.writerow([FLOAT_FMT % v for v in row])
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
@@ -155,18 +158,22 @@ class SimilarityMatrix:
         return self.entries.shape[0]
 
 
-def pairwise_distances(cloud: PointCloud) -> np.ndarray:
-    """Euclidean distance matrix from coordinate differences.
+def pairwise_distances(
+    cloud: PointCloud, other: PointCloud | None = None
+) -> np.ndarray:
+    """Distances from each point of cloud to each point of other (or cloud).
 
-    Exactly symmetric with an exactly zero diagonal. Each entry is within
-    (d + 3) u relative of the exact distance, u = 2^-53, wherever the cloud
-    sits: the sum of d squared differences rounds by at most (d + 2) u
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
-    the square root halves that and adds u.
+    A cloud's own matrix is exactly symmetric with a zero diagonal. Each
+    entry is within (d + 3) u relative of the exact distance, u = 2^-53,
+    wherever the points sit: the sum of d squared differences rounds by at
+    most (d + 2) u (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3), and the square root halves that and adds u. It is 0 exactly
+    where each coordinate difference squares to 0: equal coordinates (-0.0
+    equals +0.0) or differences below about 1e-162.
     """
     from scipy.spatial.distance import cdist  # here: CLI start-up skips scipy
 
-    dist = cdist(cloud.points, cloud.points)
+    dist = cdist(cloud.points, (cloud if other is None else other).points)
     if not np.all(np.isfinite(dist)):
         raise NonFinite("non-finite pairwise distance")
     return dist
@@ -185,3 +192,19 @@ def _similarity_entries(cloud: PointCloud, t: float) -> np.ndarray:
 def build_similarity(cloud: PointCloud, t: float) -> SimilarityMatrix:
     """Similarity matrix of the scaled space tX: exp(-t * distance)."""
     return SimilarityMatrix(_similarity_entries(cloud, t), float(t))
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write through ``path + ".tmp"``, then rename it onto ``path``.
+
+    A failed write leaves ``path`` as it was and removes the temp file.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

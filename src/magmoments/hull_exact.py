@@ -23,11 +23,11 @@ from math import gamma, pi
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import FLOAT_FMT, PointCloud
 
 MAX_DIM = 8
 
-#: Containment slack, relative to the cloud diameter.
+#: Containment slack, relative to the coordinate spread (see containment_slack).
 GEOM_TOL = 1e-9
 
 
@@ -44,29 +44,34 @@ class HullResult:
     simplices: np.ndarray
     equations: np.ndarray
     volume: float
-    dim: int
     points: np.ndarray
-    degenerate: bool = False
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_indices)
 
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
-def affine_rank(points: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Rank of the point set around its centroid."""
+    @property
+    def degenerate(self) -> bool:
+        return not self.vertex_indices
+
+
+def affine_rank(points: np.ndarray) -> int:
+    """Rank around the centroid: singular values above 1e-9 of the largest."""
     centered = points - points.mean(axis=0)
     if len(points) < 2:
         return 0
     svals = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(svals > rel_tol * max(svals[0], 1e-300)))
+    return int(np.sum(svals > 1e-9 * max(svals[0], 1e-300)))
 
 
 def _degenerate_result(cloud: PointCloud) -> HullResult:
     d = cloud.dim
-    return HullResult(
-        (), np.empty((0, d), np.intp), np.empty((0, d + 1)), 0.0, d, cloud.points, True
-    )
+    empty = np.empty((0, d), np.intp)
+    return HullResult((), empty, np.empty((0, d + 1)), 0.0, cloud.points)
 
 
 def convex_hull(cloud: PointCloud) -> HullResult:
@@ -95,7 +100,7 @@ def convex_hull(cloud: PointCloud) -> HullResult:
         vertices, simplices, equations = qh.vertices, qh.simplices, qh.equations
         volume = _fan_volume(pts, vertices, simplices)
     return HullResult(
-        tuple(sorted(int(v) for v in vertices)), simplices, equations, volume, d, pts
+        tuple(sorted(int(v) for v in vertices)), simplices, equations, volume, pts
     )
 
 
@@ -140,6 +145,6 @@ def to_off(hull: HullResult) -> str:
     faces = np.searchsorted(verts, hull.simplices)  # verts is sorted
     out = io.StringIO()
     out.write(f"OFF\n{verts.size} {len(faces)} 0\n")
-    np.savetxt(out, hull.points[verts], fmt="%.17g")
+    np.savetxt(out, hull.points[verts], fmt=FLOAT_FMT)
     np.savetxt(out, np.column_stack([np.full(len(faces), hull.dim), faces]), fmt="%d")
     return out.getvalue()

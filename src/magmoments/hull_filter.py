@@ -228,13 +228,13 @@ def _beneath_beyond(pts: np.ndarray, size: int, slack: float) -> tuple[np.ndarra
         volume += np.abs(np.linalg.det(pts[dying] - apex)).sum() / d_factorial
 
         # Horizon: the dying facets' ridges that occur once. A ridge drops
-        # one vertex of a sorted facet, so equal ridges have equal keys.
+        # one vertex of a sorted facet, so equal ridges are equal rows; sorted
+        # with the last column first, they are adjacent.
         ridges = dying[:, drop_one].reshape(-1, d - 1)
-        keys = _row_keys(ridges, p)
-        by_key = np.argsort(keys)
-        edge = np.concatenate(([-1], keys[by_key], [-1]))
-        change = edge[1:] != edge[:-1]
-        horizon = ridges[by_key[change[:-1] & change[1:]]]
+        ridges = ridges[np.lexsort(ridges.T)]
+        repeat = (ridges[1:] == ridges[:-1]).all(axis=1)
+        repeat = np.concatenate(([False], repeat, [False]))
+        horizon = ridges[~repeat[:-1] & ~repeat[1:]]
 
         # New facets join p to the horizon. Normal: the generalized cross
         # product of the facet's edges from p (cofactor expansion).
@@ -296,10 +296,3 @@ def _highest_facets(x: np.ndarray, equations: np.ndarray, slack: float):
     heights = x @ equations[:, :d].T + equations[:, d]
     highest = heights.argmax(axis=1)
     return highest, heights[np.arange(len(x)), highest] > slack
-
-
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One int64 per row of labels in [0, base), equal exactly for equal rows."""
-    if int(base) ** rows.shape[1] <= np.iinfo(np.int64).max:
-        return rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
-    return np.unique(rows, axis=0, return_inverse=True)[1]

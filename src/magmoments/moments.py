@@ -88,15 +88,12 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    order: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D and equal length")
-        if self.order != nodes.size:
-            raise ValueError(f"order {self.order} does not match {nodes.size} nodes")
         if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
         if np.any(weights <= 0):
@@ -108,12 +105,16 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    @property
+    def order(self) -> int:
+        return self.nodes.size
+
 
 def gauss_laguerre_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     from scipy.special import roots_laguerre  # here: CLI start-up skips scipy
 
     nodes, weights = roots_laguerre(order)
-    return QuadratureRule(nodes, weights, "gauss-laguerre", order)
+    return QuadratureRule(nodes, weights, "gauss-laguerre")
 
 
 def log_trapezoid_rule(
@@ -130,15 +131,14 @@ def log_trapezoid_rule(
     weights[-1] = gaps[-1] / 2
     weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
     weights *= np.exp(-nodes)
-    return QuadratureRule(nodes, weights, "log-trapezoid", order)
+    return QuadratureRule(nodes, weights, "log-trapezoid")
 
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Per-point mu_0 values with the rule that produced them."""
+    """Per-point mu_0 values and the order-doubling error estimate."""
 
     mu0: np.ndarray
-    rule: QuadratureRule
     estimated_error: float
 
     def __post_init__(self):
@@ -254,7 +254,7 @@ def zeroth_moments(
             raise QuadratureDivergence(
                 f"order doubling changed mu_0 by {rel.max():.3e} relative"
             )
-    return MomentVector(mu0, rule, err)
+    return MomentVector(mu0, err)
 
 
 def _double_order(rule: QuadratureRule) -> QuadratureRule:
@@ -267,8 +267,8 @@ def higher_moments(
     cloud: PointCloud, n: int, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """mu_n: sum_k omega_k t_k^n w_{t_k}(x_i)^2."""
-    if not n >= 0:  # also rejects NaN
-        raise ValueError("moment order n must be nonnegative")
+    if not 0 <= n < math.inf:  # also rejects NaN
+        raise ValueError("moment order n must be nonnegative and finite")
     rule = rule or gauss_laguerre_rule()
     return _node_sums(cloud, rule, rule.nodes**n)
 
@@ -277,8 +277,8 @@ def laplace_moment(
     cloud: PointCloud, s: float, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """Shifted Laplace transform of w_t^2: sum_k omega_k e^{-s t_k} w^2."""
-    if not s >= 0:  # also rejects NaN
-        raise ValueError("shift s must be nonnegative")
+    if not 0 <= s < math.inf:  # also rejects NaN
+        raise ValueError("shift s must be nonnegative and finite")
     rule = rule or gauss_laguerre_rule()
     return _node_sums(cloud, rule, np.exp(-s * rule.nodes))
 

@@ -36,6 +36,7 @@ from .geometry import (
     PointCloud,
     SimilarityMatrix,
     build_similarity,
+    pairwise_distances,
 )
 # weights_at_scale is unused here; perfbench/selfcheck.py checks this import site.
 from .magnitude import WeightVector, _cholesky_lower, weights_at_scale  # noqa: F401
@@ -183,37 +184,27 @@ def restriction_bounds(
     return upper, det_upper, lower
 
 
-def _match_points(cloud_x: PointCloud, cloud_y: PointCloud):
-    """Map each point of Y to its exact-coordinate match in X, if any.
-
-    Near-matches (within the duplicate tolerance but not exactly equal)
-    are ambiguous for the block decomposition and rejected. Rows are keyed
-    by value: adding 0.0 maps -0.0 to +0.0.
-    """
-    x_rows = {row.tobytes(): i for i, row in enumerate(cloud_x.points + 0.0)}
-    mapping = {}
-    for j, row in enumerate(cloud_y.points + 0.0):
-        i = x_rows.get(row.tobytes())
-        if i is not None:
-            mapping[j] = i
-            continue
-        gaps = np.linalg.norm(cloud_x.points - row, axis=1)
-        near = int(np.argmin(gaps))
-        if gaps[near] < DUPLICATE_TOL:
-            raise OverlapAmbiguity(
-                f"point {j} of Y is {gaps[near]:.3e} from point {near} of X "
-                "but not exactly equal"
-            )
-    return mapping
-
-
 def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
-    """Cloud on Z = X u Y: points of X \\ Y in X order, then Y in Y order."""
+    """Cloud on Z = X u Y: points of X \\ Y in X order, then Y in Y order.
+
+    A point of Y at distance 0 from a point of X is that point. One closer
+    than DUPLICATE_TOL but not at distance 0 is ambiguous for the block
+    decomposition and raises OverlapAmbiguity.
+    """
     if cloud_x.dim != cloud_y.dim:
         raise ValueError("clouds must share dimension")
-    mapping = _match_points(cloud_x, cloud_y)
-    overlap_in_x = set(mapping.values())
-    keep_x = [i for i in range(cloud_x.size) if i not in overlap_in_x]
+    dist = pairwise_distances(cloud_y, cloud_x)  # |Y| x |X|
+    nearest = dist.argmin(axis=1)
+    gaps = dist[np.arange(cloud_y.size), nearest]
+    ambiguous = np.flatnonzero((gaps > 0) & (gaps < DUPLICATE_TOL))
+    if ambiguous.size:
+        j = ambiguous[0]
+        raise OverlapAmbiguity(
+            f"point {j} of Y is {gaps[j]:.3e} from point {nearest[j]} of X "
+            "but not exactly equal"
+        )
+    keep_x = np.ones(cloud_x.size, bool)
+    keep_x[nearest[gaps == 0]] = False
     return PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points]))
 
 

@@ -67,13 +67,6 @@ def test_table1_outputs(tmp_path):
     assert {r["seed"] for r in records} == {0, 1, 2}
 
 
-def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
-    path = tmp_path / "x.csv"
-    with pytest.raises(UnicodeEncodeError):
-        experiments._atomic_write(str(path), "ok\udc80")  # a lone surrogate
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_table1_reruns_byte_identical(tmp_path):
     cfg = _tiny_config()
     run_table1(cfg, str(tmp_path / "a"))

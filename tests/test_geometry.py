@@ -1,3 +1,4 @@
+import errno
 import io
 import math
 import pickle
@@ -16,6 +17,7 @@ from magmoments import (
     build_similarity,
     pairwise_distances,
 )
+from magmoments import geometry
 
 import oracles
 
@@ -155,6 +157,42 @@ def test_csv_round_trip_bit_exact(tmp_path):
     cloud.to_csv(path)
     back = PointCloud.from_csv(path)
     assert np.array_equal(cloud.points, back.points)
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(UnicodeEncodeError):
+        geometry.atomic_write(str(path), "ok\udc80")  # a lone surrogate
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FullDisk:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_to_csv_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"x0,x1\r\n1,2\r\n")
+    monkeypatch.setattr(
+        geometry, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        PointCloud(np.arange(8.0).reshape(4, 2)).to_csv(path)
+    assert path.read_bytes() == b"x0,x1\r\n1,2\r\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_csv_headerless():

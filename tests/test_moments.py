@@ -17,7 +17,6 @@ from magmoments import (
     zeroth_moments,
 )
 from magmoments import magnitude, moments
-from magmoments.moments import QuadratureRule
 from magmoments.datagen import DatasetSpec, generate
 
 import oracles
@@ -32,13 +31,6 @@ def test_gauss_laguerre_rule_invariants():
         assert np.all(rule.nodes > 0)
         # The weight function is absorbed: sum of weights integrates 1.
         assert abs(rule.weights.sum() - 1.0) < 1e-12
-
-
-def test_rule_order_must_match_node_count():
-    rule = gauss_laguerre_rule(16)
-    with pytest.raises(ValueError, match="order 20 does not match 16 nodes"):
-        QuadratureRule(rule.nodes, rule.weights, rule.kind, 20)
-    assert QuadratureRule(rule.nodes, rule.weights, rule.kind, 16).order == 16
 
 
 def test_log_trapezoid_close_to_gauss_laguerre():
@@ -99,7 +91,7 @@ def test_laplace_trivials():
 
 @pytest.mark.parametrize("evaluate", [higher_moments, laplace_moment],
                          ids=["higher_moments", "laplace_moment"])
-@pytest.mark.parametrize("arg", [-1, float("nan")])
+@pytest.mark.parametrize("arg", [-1, float("nan"), float("inf")])
 def test_negative_or_nan_order_and_shift_rejected(monkeypatch, evaluate, arg):
     def no_solve(cloud, t):
         raise AssertionError("a node was solved")
@@ -150,9 +142,7 @@ def test_moments_follow_a_random_permutation(n, dim, log_scale, seed):
     [
         zeroth_moments,
         magnitude_moment,
-        lambda c: moment_prefix_curve(
-            c, MomentVector(np.arange(4.0), gauss_laguerre_rule(), np.nan)
-        )[0],
+        lambda c: moment_prefix_curve(c, MomentVector(np.arange(4.0), np.nan))[0],
     ],
     ids=["zeroth_moments", "magnitude_moment", "moment_prefix_curve"],
 )

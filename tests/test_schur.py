@@ -416,6 +416,14 @@ def test_union_matches_signed_zeros_by_value():
     assert np.abs(wz.weights - direct.weights).max() < 1e-8
 
 
+def test_union_merges_points_at_distance_zero():
+    # The one distance rule: differences whose squares underflow read 0.
+    x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    y = PointCloud(np.array([[1e-200, 0.0], [3.0, 0.0]]))
+    z = union_cloud(x, y)
+    assert np.array_equal(z.points, [[1.0, 0.0], [1e-200, 0.0], [3.0, 0.0]])
+
+
 def test_union_rejects_near_matches():
     x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     y = PointCloud(np.array([[1.0 + 1e-14, 0.0]]))
