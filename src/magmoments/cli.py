@@ -16,7 +16,7 @@ import numpy as np
 
 from . import datagen, experiments, hull_filter
 from .errors import InvalidSpec, MagnitudeError
-from .geometry import FLOAT_FMT, PointCloud, atomic_write
+from .geometry import FLOAT_FMT, PointCloud, atomic_write, csv_text
 from .hull_exact import convex_hull, to_off
 from .magnitude import magnitude_function, weights_at_scale
 from .moments import gauss_laguerre_rule, zeroth_moments
@@ -34,10 +34,6 @@ def _load_cloud(path: str) -> PointCloud:
         with open(path) as fh:
             return PointCloud.from_json(fh.read())
     return PointCloud.from_csv(path)
-
-
-def _fmt_row(values) -> str:
-    return ",".join(FLOAT_FMT % v for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,14 +126,9 @@ def _cmd_weights(args) -> int:
             }
         ) + "\n"
     else:
-        header = [f"x{i}" for i in range(cloud.dim)] + ["w"]
-        lines = [",".join(header)]
-        lines += [
-            _fmt_row(list(cloud.points[i]) + [wv.weights[i]])
-            for i in range(cloud.size)
-        ]
-        lines.append(f"# magnitude,{FLOAT_FMT % wv.magnitude}")
-        text = "\n".join(lines) + "\n"
+        table = np.column_stack([cloud.points, wv.weights])
+        text = csv_text(cloud.csv_header + ["w"], table)
+        text += f"# magnitude,{FLOAT_FMT % wv.magnitude}\n"
     _write_or_print(args.out, text)
     return 0
 
@@ -147,14 +138,9 @@ def _cmd_moments(args) -> int:
     wv = weights_at_scale(cloud, args.t)  # rejects a bad --t before the node loop
     rule = gauss_laguerre_rule(args.order)
     mv = zeroth_moments(cloud, rule, estimate_error=False)
-    header = [f"x{i}" for i in range(cloud.dim)] + ["w", "mu0", "log1p_mu0"]
-    lines = [",".join(header)]
-    log_mu = np.log1p(mv.mu0)
-    for i in range(cloud.size):
-        lines.append(
-            _fmt_row(list(cloud.points[i]) + [wv.weights[i], mv.mu0[i], log_mu[i]])
-        )
-    _write_or_print(args.out, "\n".join(lines) + "\n")
+    header = cloud.csv_header + ["w", "mu0", "log1p_mu0"]
+    table = np.column_stack([cloud.points, wv.weights, mv.mu0, np.log1p(mv.mu0)])
+    _write_or_print(args.out, csv_text(header, table))
     return 0
 
 
@@ -162,8 +148,7 @@ def _cmd_magfn(args) -> int:
     cloud = _load_cloud(args.input)
     scales = [float(s) for s in args.scales.split(",") if s]
     pairs = magnitude_function(cloud, scales)
-    lines = ["t,magnitude"] + [_fmt_row(p) for p in pairs]
-    _write_or_print(args.out, "\n".join(lines) + "\n")
+    _write_or_print(args.out, csv_text(["t", "magnitude"], pairs))
     return 0
 
 

@@ -28,10 +28,14 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidSpec(f"unknown dataset kind {self.kind!r}")
+        for name in ("count", "dim", "seed"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), int))
         if self.count < 1:
             raise InvalidSpec("count must be >= 1")
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
         if self.kind in ("annulus", "noisy-moons") and self.dim != 2:
             raise InvalidSpec(f"{self.kind} is 2-D only")
         if not isinstance(self.params, dict):
@@ -49,7 +53,7 @@ def _number(name: str, value, kind=float):
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidSpec(f"{name} must be a number, got {value!r}") from None
-    if not np.isfinite(number):
+    if kind is float and not np.isfinite(number):  # int() takes no inf or NaN
         raise InvalidSpec(f"{name} must be finite, got {value!r}")
     return number
 

@@ -7,8 +7,8 @@ the smallest prefix size whose hull reaches the configured fraction
 (default 90%) of the full hull volume.
 
 Every trial is fully determined by (dim, trial seed): rerunning an
-identical config at a given BLAS thread setting reproduces every record
-bit-exactly.
+identical config at a given BLAS thread setting reproduces every file
+byte for byte, except the ``wallTime`` of each ``trials.jsonl`` line.
 
 Given an output directory, ``run_table1`` also stores every successful
 trial's prefix curve in ``curves.npz``, keyed by the config and the
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import DatasetSpec, generate
-from .errors import MagnitudeError
-from .geometry import FLOAT_FMT, atomic_write
+from .datagen import DatasetSpec, _number, generate
+from .errors import InvalidSpec, MagnitudeError
+from .geometry import atomic_write, csv_text
 from .hull_exact import convex_hull
 from .hull_filter import moment_prefix_curve
 from .moments import gauss_laguerre_rule, zeroth_moments
@@ -75,17 +75,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.volume_fraction < 1:
             raise ValueError("volume_fraction must be in (0, 1)")
+        for name in ("trials_per_dim", "points_per_trial", "quadrature_order"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials_per_dim < 1:
             raise ValueError("trials_per_dim must be >= 1")
         if self.quadrature_order < 1:
             raise ValueError("quadrature_order must be >= 1")
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object with 'kind' and 'params'")
-        seeds = tuple(self.seeds) or tuple(range(self.trials_per_dim))
+        seeds = tuple(_integer("seeds", s) for s in self.seeds)
+        seeds = seeds or tuple(range(self.trials_per_dim))
         if len(seeds) != self.trials_per_dim:
             raise ValueError("seeds must have one entry per trial")
+        if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            raise ValueError(f"seeds must be distinct and >= 0, got {list(seeds)}")
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "dims", tuple(_integer("dims", d) for d in self.dims))
         for dim in self.dims:  # a bad spec raises before any trial runs
             self._dataset_spec(dim, 0)
 
@@ -116,15 +121,26 @@ class ExperimentConfig:
         )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` by datagen's integer rule (1000.0 is 1000; 1.5 and True raise)."""
+    try:
+        return _number(name, value, int)
+    except InvalidSpec as exc:
+        raise ValueError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     dim: int
     seed: int
     i90: int
     hull_vertex_count: int
-    full_volume: float
     prefix_curve: tuple
     wall_time: float
+
+    @property
+    def full_volume(self) -> float:
+        return self.prefix_curve[-1][1]
 
 
 def trial_seed(base: int, dim: int) -> int:
@@ -138,8 +154,7 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     rule = gauss_laguerre_rule(config.quadrature_order)
     moments = zeroth_moments(cloud, rule, estimate_error=False)
     curve, vertex_count = moment_prefix_curve(cloud, moments)
-    full_volume = curve[-1][1]
-    target = config.volume_fraction * full_volume
+    target = config.volume_fraction * curve[-1][1]
     i90 = next(i for i, vol, _ in curve if vol >= target)
     if vertex_count is None:  # d = 1, or no prefix was full-dimensional
         vertex_count = convex_hull(cloud).vertex_count
@@ -148,7 +163,6 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
         seed=base_seed,
         i90=i90,
         hull_vertex_count=vertex_count,
-        full_volume=full_volume,
         prefix_curve=tuple(curve),
         wall_time=time.perf_counter() - start,
     )
@@ -219,7 +233,8 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        atomic_write(os.path.join(out_dir, "summary.csv"), _summary_csv(rows))
+        header = ("dim", "mean_i90", "std_i90", "mean_vertices", "std_vertices")
+        atomic_write(os.path.join(out_dir, "summary.csv"), csv_text(header, rows))
         lines = []
         for r in records:
             lines.append(
@@ -257,7 +272,8 @@ def _store_key(config: ExperimentConfig) -> str:
 
 
 def _stored_curves(config: ExperimentConfig, out_dir) -> dict:
-    """Prefix curves from the out dir's curve store, by trial stem.
+    """Prefix curves from the out dir's curve store, by trial stem: (N, 3)
+    arrays of rows (i, volume, magnitude).
 
     Empty when the store is missing, unreadable, or written for another
     config or package version.
@@ -266,22 +282,9 @@ def _stored_curves(config: ExperimentConfig, out_dir) -> dict:
         with np.load(os.path.join(out_dir, CURVE_STORE)) as store:
             if str(store["key"]) != _store_key(config):
                 return {}
-            return {
-                name: [(int(i), vol, mag) for i, vol, mag in store[name].tolist()]
-                for name in store.files
-                if name != "key"
-            }
+            return {name: store[name] for name in store.files if name != "key"}
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         return {}
-
-
-def _summary_csv(rows) -> str:
-    out = ["dim,mean_i90,std_i90,mean_vertices,std_vertices"]
-    for dim, mi, si, mv, sv in rows:
-        out.append(
-            f"{dim}," + ",".join(FLOAT_FMT % v for v in (mi, si, mv, sv))
-        )
-    return "\n".join(out) + "\n"
 
 
 def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
@@ -314,10 +317,7 @@ def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
                     raise outcome
                 curve = outcome.prefix_curve
             csv_path = os.path.join(curves_dir, stem + ".csv")
-            lines = ["i,vol,mag"]
-            for i, vol, mag in curve:
-                lines.append(f"{i},{FLOAT_FMT % vol},{FLOAT_FMT % mag}")
-            atomic_write(csv_path, "\n".join(lines) + "\n")
+            atomic_write(csv_path, csv_text(("i", "vol", "mag"), curve))
             svg_path = os.path.join(curves_dir, stem + ".svg")
             atomic_write(svg_path, _curve_svg(curve, config.volume_fraction))
             written.extend([csv_path, svg_path])

@@ -8,7 +8,6 @@ symmetric positive definite for distinct Euclidean points.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -95,16 +94,15 @@ class PointCloud:
 
     # -- serialization ----------------------------------------------------
 
+    @property
+    def csv_header(self) -> list[str]:
+        return [f"x{i}" for i in range(self.dim)]
+
     def to_csv(self, path) -> None:
-        text = io.StringIO()
-        self.write_csv(text)
-        atomic_write(path, text.getvalue())
+        atomic_write(path, csv_text(self.csv_header, self.points))
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(self.dim)])
-        for row in self.points:
-            writer.writerow([FLOAT_FMT % v for v in row])
+        fh.write(csv_text(self.csv_header, self.points))
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
@@ -192,6 +190,14 @@ def _similarity_entries(cloud: PointCloud, t: float) -> np.ndarray:
 def build_similarity(cloud: PointCloud, t: float) -> SimilarityMatrix:
     """Similarity matrix of the scaled space tX: exp(-t * distance)."""
     return SimilarityMatrix(_similarity_entries(cloud, t), float(t))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header names, then one line per row with every value
+    formatted by FLOAT_FMT. Every line, the last included, ends with "\\n"."""
+    lines = [",".join(header)]
+    lines += [",".join([FLOAT_FMT % v for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path, data: str | bytes) -> None:

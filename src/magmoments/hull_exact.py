@@ -122,14 +122,13 @@ def containment_slack(points: np.ndarray) -> float:
     return GEOM_TOL * max(points.max() - points.min(), 1.0)
 
 
-def contains(hull: HullResult, point: np.ndarray, tol: float | None = None) -> bool:
-    """True if the point lies inside or on the hull within tolerance."""
+def contains(hull: HullResult, point: np.ndarray) -> bool:
+    """True if the point lies inside the hull or within containment_slack of it."""
     if hull.degenerate:
         return False
-    if tol is None:
-        tol = containment_slack(hull.points)
     eq = hull.equations
-    return bool(np.all(eq[:, :-1] @ point <= tol - eq[:, -1]))
+    slack = containment_slack(hull.points)
+    return bool(np.all(eq[:, :-1] @ point <= slack - eq[:, -1]))
 
 
 def unit_ball_volume(d: int) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,6 @@ class WeightVector:
 
     weights: np.ndarray
     scale: float
-    magnitude: float
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
@@ -58,6 +58,11 @@ class WeightVector:
     @property
     def size(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def magnitude(self) -> float:
+        """The sum of the weights, computed once per vector."""
+        return float(self.weights.sum())
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def _solve(a: np.ndarray, scale: float) -> WeightVector:
         raise FactorizationFailure(
             f"solve residual {np.abs(residual).max():.3e} exceeds budget {budget:.3e}"
         )
-    return WeightVector(w, scale, float(w.sum()))
+    return WeightVector(w, scale)
 
 
 def solve_weights(sim: SimilarityMatrix) -> WeightVector:

@@ -253,4 +253,4 @@ def union_weights(
         (lower_y, True), 1.0 - a_wy.T @ w_w, check_finite=False
     )
     w_z = np.concatenate([w_w, w_y])
-    return WeightVector(w_z, weights_x.scale, float(w_z.sum()))
+    return WeightVector(w_z, weights_x.scale)

@@ -170,6 +170,30 @@ def test_experiments_subcommand(tmp_path):
     assert len(warm) == 4 and warm == cold
 
 
+def test_every_csv_ends_lines_with_a_bare_newline(blob_csv, tmp_path):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "dims": [2], "trialsPerDim": 1, "pointsPerTrial": 40,
+        "seeds": [0], "quadratureOrder": 16,
+    }))
+    out_dir = tmp_path / "results"
+    for args in [
+        ("weights", "--input", str(blob_csv), "--out", str(tmp_path / "w.csv")),
+        ("moments", "--input", str(blob_csv), "--order", "16",
+         "--out", str(tmp_path / "m.csv")),
+        ("magfn", "--input", str(blob_csv), "--scales", "0.5,1",
+         "--out", str(tmp_path / "f.csv")),
+        ("experiments", "table1", "--config", str(config), "--out", str(out_dir)),
+        ("experiments", "curves", "--config", str(config), "--out", str(out_dir)),
+    ]:
+        assert run_cli(*args) == 0
+    written = [blob_csv, tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "f.csv",
+               out_dir / "summary.csv", out_dir / "curves" / "dim2_seed0.csv"]
+    for path in written:  # blob_csv is datagen's
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({"dims": [2], "trialsPerDims": 2}))
@@ -190,6 +214,8 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
             {"datasetSpec": {"kind": "gaussian-blobs", "params": {"sigma": [1]}}},
             id="sigma-list",
         ),
+        pytest.param({"pointsPerTrial": 20.5}, id="fractional-points"),
+        pytest.param({"seeds": [0.5]}, id="fractional-seed"),
     ],
 )
 def test_malformed_experiment_config_exits_two(tmp_path, config):

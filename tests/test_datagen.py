@@ -79,6 +79,24 @@ def test_invalid_specs():
         generate(DatasetSpec("annulus", 10, 2, seed=0, params={"inner": 2.0}))
 
 
+@pytest.mark.parametrize(
+    "count, dim, seed",
+    [(30.5, 2, 0), (True, 2, 0), (30, 2.5, 0), (30, True, 0), (30, 2, 1.5), (30, 2, -1)],
+    ids=["fractional-count", "boolean-count", "fractional-dim", "boolean-dim",
+         "fractional-seed", "negative-seed"],
+)
+def test_spec_rejects_non_integer_count_dim_or_seed(count, dim, seed):
+    with pytest.raises(InvalidSpec):
+        DatasetSpec("square", count, dim, seed)
+
+
+def test_spec_takes_integral_floats_as_ints():
+    spec = DatasetSpec("square", 30.0, 2.0, 4.0)
+    assert [type(v) for v in (spec.count, spec.dim, spec.seed)] == [int, int, int]
+    want = generate(DatasetSpec("square", 30, 2, 4)).points
+    assert np.array_equal(generate(spec).points, want)
+
+
 def test_forced_collisions_resample_the_same_rows(monkeypatch):
     real = datagen._sample
     calls = []

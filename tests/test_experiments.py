@@ -133,12 +133,30 @@ def test_config_validation():
             '{"datasetSpec": {"kind": "square", "params": [1]}}', InvalidSpec,
             id="params-not-object",
         ),
+        pytest.param(
+            '{"trialsPerDim": 2, "seeds": [1.5, 1]}', ValueError, id="fractional-seed"
+        ),
+        pytest.param('{"trialsPerDim": 2, "seeds": [1, 1]}', ValueError, id="repeated-seed"),
+        pytest.param('{"trialsPerDim": 2, "seeds": [0, -1]}', ValueError, id="negative-seed"),
+        pytest.param('{"trialsPerDim": 1, "seeds": [true]}', ValueError, id="boolean-seed"),
+        pytest.param('{"trialsPerDim": true}', ValueError, id="boolean-trials"),
+        pytest.param('{"trialsPerDim": 2.5}', ValueError, id="fractional-trials"),
+        pytest.param('{"quadratureOrder": 32.5}', ValueError, id="fractional-order"),
+        pytest.param('{"pointsPerTrial": 30.5}', ValueError, id="fractional-points"),
     ],
 )
 def test_config_rejects_malformed_trials_when_built(raw, error):
-    # Each of these once ran every trial to a warning and an empty table.
+    # Each of these once ran every trial to a warning and an empty table,
+    # crashed with a TypeError, or, for seeds [1.5, 1], ran seed 1 twice and
+    # averaged both runs into the table.
     with pytest.raises(error):
         ExperimentConfig.from_json(raw)
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = _tiny_config(points_per_trial=60.0, trials_per_dim=2.0, seeds=(0.0, 1))
+    assert (cfg.points_per_trial, cfg.trials_per_dim, cfg.seeds) == (60, 2, (0, 1))
+    assert run_table1(cfg) == run_table1(_tiny_config(trials_per_dim=2, seeds=(0, 1)))
 
 
 def test_config_from_json_rejects_unknown_keys():

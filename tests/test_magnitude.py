@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magmoments import (
     FactorizationFailure,
@@ -76,6 +78,34 @@ def test_scale_doubling_matches_coordinate_doubling():
     at_2t = weights_at_scale(cloud, 2.0)
     doubled = weights_at_scale(cloud.scale_coordinates(2.0), 1.0)
     assert np.abs(at_2t.weights - doubled.weights).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@example(40, 2, 0.0, -1.0, -1.0, 0)
+@given(
+    st.integers(3, 40),
+    st.integers(2, 5),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_weights_of_a_scaled_cloud_are_the_weights_at_a_scaled_t(
+    n, dim, log_scale, log_t, log_c, seed
+):
+    # w_t(cX) = w_{ct}(X): both matrices are exp(-ct D), up to the rounding
+    # of cX and of ct, which the solve amplifies by about cond(Z_ct). Over
+    # 6000 random clouds across these ranges the worst gap was 4.9e-13 of
+    # max|w|. The worst corner is t = c = 0.1 with N = 40, d = 2 and a
+    # standard deviation of 1, where cond(Z_ct) has a long tail: over 12400
+    # clouds there the worst gap was 6.4e-11. The bound is 10 times that,
+    # rounded up.
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.normal(size=(n, dim)) * 10.0**log_scale)
+    t, c = 10.0**log_t, 10.0**log_c
+    want = weights_at_scale(cloud, c * t).weights
+    got = weights_at_scale(cloud.scale_coordinates(c), t).weights
+    assert np.abs(got - want).max() <= 7e-10 * np.abs(want).max()
 
 
 def test_subset_monotonicity():
@@ -244,7 +274,7 @@ def test_quadratic_form_identity():
 
 
 def test_log_weight_coloring():
-    wv = WeightVector(np.array([0.0, math.e - 1.0, 1.0]), 1.0, math.e)
+    wv = WeightVector(np.array([0.0, math.e - 1.0, 1.0]), 1.0)
     colors = log_weight_coloring(wv)
     assert colors[0] == 0.0
     assert colors[1] == pytest.approx(1.0, abs=1e-15)
@@ -252,7 +282,7 @@ def test_log_weight_coloring():
 
 
 def test_log_weight_coloring_rejects_below_minus_one():
-    wv = WeightVector(np.array([-1.5]), 1.0, -1.5)
+    wv = WeightVector(np.array([-1.5]), 1.0)
     with pytest.raises(NonRepresentable):
         log_weight_coloring(wv)
 

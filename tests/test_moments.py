@@ -330,6 +330,40 @@ def test_translation_leaves_weights_and_moments(offset):
     assert np.abs(got / want - 1.0).max() <= 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@example(40, 2, 0.0, -1.0, 0)
+@given(
+    st.integers(3, 40),
+    st.integers(2, 5),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_rigid_motion_leaves_weights_and_moments(n, dim, log_scale, log_t, seed):
+    # A rotation and a shift of about 10 round the coordinates, and so the
+    # distances, which the solves amplify by about cond(Z_t). Over 6000
+    # random clouds across these ranges the worst change was 1.5e-13 of
+    # max|w| and 4.7e-13 relative on mu_0. The worst corner is t = 0.1 with
+    # N = 40, d = 2 and a standard deviation of 1, where cond(Z_t) has a long
+    # tail: over 12400 clouds there the worst changes were 6.4e-12 and
+    # 3.0e-11. Each bound is 10 times the worst, rounded up.
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim)) * 10.0**log_scale
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    rotation = q * np.sign(np.diag(r))  # Haar-distributed orthogonal
+    if np.linalg.det(rotation) < 0:
+        rotation[:, 0] *= -1.0
+    cloud = PointCloud(pts)
+    moved = PointCloud(pts @ rotation.T + rng.normal(0.0, 10.0, dim))
+    t = 10.0**log_t
+    want = magnitude.weights_at_scale(cloud, t).weights
+    got = magnitude.weights_at_scale(moved, t).weights
+    assert np.abs(got - want).max() <= 7e-11 * np.abs(want).max()
+    want = zeroth_moments(cloud, estimate_error=False).mu0
+    got = zeroth_moments(moved, estimate_error=False).mu0
+    assert np.abs(got / want - 1.0).max() <= 4e-10
+
+
 def test_moments_nonnegative_and_finite():
     rng = np.random.default_rng(34)
     cloud = PointCloud(rng.normal(size=(25, 3)))
