@@ -44,8 +44,9 @@ class DatasetSpec:
 
 
 def _number(name: str, value, kind=float):
-    """A scalar parameter as a finite float (or integral int); InvalidSpec otherwise."""
-    if isinstance(value, (bool, np.bool_)):
+    """A scalar parameter as a finite float (or integral int); InvalidSpec
+    otherwise, also for booleans and strings such as True and "1.5"."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise InvalidSpec(f"{name} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")

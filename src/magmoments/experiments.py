@@ -4,7 +4,8 @@ For each (dimension, trial) a Gaussian-blob cloud is generated, its
 zeroth moments computed, and the prefix curve of hull volume and
 magnitude recorded for points taken in descending moment order. I90 is
 the smallest prefix size whose hull reaches the configured fraction
-(default 90%) of the full hull volume.
+(default 90%) of the full hull volume; the vertex count is that of
+``convex_hull`` on the whole cloud.
 
 Every trial is fully determined by (dim, trial seed): rerunning an
 identical config at a given BLAS thread setting reproduces every file
@@ -73,24 +74,33 @@ class ExperimentConfig:
     seeds: tuple = ()
 
     def __post_init__(self):
-        if not 0 < self.volume_fraction < 1:
+        fraction = _checked("volume_fraction", self.volume_fraction, float)
+        if not 0 < fraction < 1:
             raise ValueError("volume_fraction must be in (0, 1)")
+        object.__setattr__(self, "volume_fraction", fraction)
         for name in ("trials_per_dim", "points_per_trial", "quadrature_order"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         if self.trials_per_dim < 1:
             raise ValueError("trials_per_dim must be >= 1")
         if self.quadrature_order < 1:
             raise ValueError("quadrature_order must be >= 1")
         if not isinstance(self.dataset, dict):
             raise ValueError("dataset must be an object with 'kind' and 'params'")
-        seeds = tuple(_integer("seeds", s) for s in self.seeds)
+        for name in ("dims", "seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        seeds = tuple(_checked("seeds", s) for s in self.seeds)
         seeds = seeds or tuple(range(self.trials_per_dim))
         if len(seeds) != self.trials_per_dim:
             raise ValueError("seeds must have one entry per trial")
         if min(seeds) < 0 or len(set(seeds)) < len(seeds):
             raise ValueError(f"seeds must be distinct and >= 0, got {list(seeds)}")
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "dims", tuple(_integer("dims", d) for d in self.dims))
+        dims = tuple(_checked("dims", d) for d in self.dims)
+        if not dims or len(set(dims)) < len(dims):
+            raise ValueError(f"dims must be non-empty and distinct, got {list(dims)}")
+        object.__setattr__(self, "dims", dims)
         for dim in self.dims:  # a bad spec raises before any trial runs
             self._dataset_spec(dim, 0)
 
@@ -121,10 +131,10 @@ class ExperimentConfig:
         )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` by datagen's integer rule (1000.0 is 1000; 1.5 and True raise)."""
+def _checked(name: str, value, kind=int):
+    """``value`` by datagen's number rule (1000.0 is 1000; 1.5, True, "5" raise)."""
     try:
-        return _number(name, value, int)
+        return _number(name, value, kind)
     except InvalidSpec as exc:
         raise ValueError(str(exc)) from None
 
@@ -135,12 +145,12 @@ class TrialRecord:
     seed: int
     i90: int
     hull_vertex_count: int
-    prefix_curve: tuple
+    prefix_curve: np.ndarray  # (N, 3) rows (i, volume, magnitude)
     wall_time: float
 
     @property
     def full_volume(self) -> float:
-        return self.prefix_curve[-1][1]
+        return float(self.prefix_curve[-1, 1])
 
 
 def trial_seed(base: int, dim: int) -> int:
@@ -153,17 +163,15 @@ def run_trial(config: ExperimentConfig, dim: int, base_seed: int) -> TrialRecord
     cloud = generate(config._dataset_spec(dim, trial_seed(base_seed, dim)))
     rule = gauss_laguerre_rule(config.quadrature_order)
     moments = zeroth_moments(cloud, rule, estimate_error=False)
-    curve, vertex_count = moment_prefix_curve(cloud, moments)
-    target = config.volume_fraction * curve[-1][1]
-    i90 = next(i for i, vol, _ in curve if vol >= target)
-    if vertex_count is None:  # d = 1, or no prefix was full-dimensional
-        vertex_count = convex_hull(cloud).vertex_count
+    curve = moment_prefix_curve(cloud, moments)
+    volumes = curve[:, 1]
+    i90 = int(np.argmax(volumes >= config.volume_fraction * volumes[-1])) + 1
     return TrialRecord(
         dim=dim,
         seed=base_seed,
         i90=i90,
-        hull_vertex_count=vertex_count,
-        prefix_curve=tuple(curve),
+        hull_vertex_count=convex_hull(cloud).vertex_count,
+        prefix_curve=curve,
         wall_time=time.perf_counter() - start,
     )
 
@@ -218,51 +226,35 @@ def run_table1(config: ExperimentConfig, out_dir=None) -> list[tuple]:
     rows = []
     for dim in config.dims:
         sub = [r for r in records if r.dim == dim]
-        if not sub:
-            continue
-        i90 = np.array([r.i90 for r in sub], dtype=float)
-        verts = np.array([r.hull_vertex_count for r in sub], dtype=float)
-        rows.append(
-            (
-                dim,
-                float(i90.mean()),
-                float(i90.std(ddof=1)) if len(sub) > 1 else 0.0,
-                float(verts.mean()),
-                float(verts.std(ddof=1)) if len(sub) > 1 else 0.0,
-            )
-        )
+        if sub:
+            i90 = _mean_std([r.i90 for r in sub])
+            rows.append((dim, *i90, *_mean_std([r.hull_vertex_count for r in sub])))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         header = ("dim", "mean_i90", "std_i90", "mean_vertices", "std_vertices")
         atomic_write(os.path.join(out_dir, "summary.csv"), csv_text(header, rows))
-        lines = []
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "dim": r.dim,
-                        "seed": r.seed,
-                        "I90": r.i90,
+        lines = [
+            json.dumps({"dim": r.dim, "seed": r.seed, "I90": r.i90,
                         "hullVertexCount": r.hull_vertex_count,
-                        "fullVolume": r.full_volume,
-                        "wallTime": r.wall_time,
-                    }
-                )
-            )
-        for f in failures:
-            lines.append(json.dumps({"failure": f}))
+                        "fullVolume": r.full_volume, "wallTime": r.wall_time})
+            for r in records
+        ]
+        lines += [json.dumps({"failure": f}) for f in failures]
         atomic_write(os.path.join(out_dir, "trials.jsonl"), "\n".join(lines) + "\n")
         store = io.BytesIO()
         np.savez(
             store,
             key=np.array(_store_key(config)),
-            **{
-                f"dim{r.dim}_seed{r.seed}": np.array(r.prefix_curve, dtype=float)
-                for r in records
-            },
+            **{f"dim{r.dim}_seed{r.seed}": r.prefix_curve for r in records},
         )
         atomic_write(os.path.join(out_dir, CURVE_STORE), store.getvalue())
     return rows
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation; the deviation of one value is 0."""
+    x = np.array(values, dtype=float)
+    return float(x.mean()), float(x.std(ddof=1)) if len(x) > 1 else 0.0
 
 
 def _store_key(config: ExperimentConfig) -> str:
@@ -272,8 +264,8 @@ def _store_key(config: ExperimentConfig) -> str:
 
 
 def _stored_curves(config: ExperimentConfig, out_dir) -> dict:
-    """Prefix curves from the out dir's curve store, by trial stem: (N, 3)
-    arrays of rows (i, volume, magnitude).
+    """Prefix curves from the out dir's curve store, by trial stem, in
+    ``moment_prefix_curve``'s (N, 3) form.
 
     Empty when the store is missing, unreadable, or written for another
     config or package version.
@@ -324,13 +316,13 @@ def run_prefix_curves(config: ExperimentConfig, out_dir) -> list[str]:
     return written
 
 
-def _curve_svg(curve, fraction) -> str:
+def _curve_svg(curve: np.ndarray, fraction) -> str:
     """Hand-emitted SVG: volume and magnitude polylines, a horizontal rule
     where the volume reaches the target fraction, and axis ticks."""
     width, height, margin = 640, 400, 40
-    n = curve[-1][0]
-    full_vol = curve[-1][1] or 1.0
-    full_mag = curve[-1][2] or 1.0
+    n = curve[-1, 0]
+    full_vol = curve[-1, 1] or 1.0
+    full_mag = curve[-1, 2] or 1.0
 
     def x(i):
         return margin + (width - 2 * margin) * (i - 1) / max(n - 1, 1)

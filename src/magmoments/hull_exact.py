@@ -10,6 +10,10 @@ is recomputed independently by a fan triangulation from the vertex
 centroid; Qhull's own volume and a divergence-theorem surface integral
 serve as cross-checks in the test suite.
 
+A hull's vertices, which Table 1 and the ``hull`` commands count, are its
+extreme points: a point Qhull keeps in a facet but that lies inside an
+edge or a face of the hull is not one (``_extreme_points``).
+
 Affinely dependent inputs come back as a flagged zero-volume result rather
 than an exception, so filtering sweeps can proceed through degenerate
 prefixes.
@@ -23,6 +27,7 @@ from math import gamma, pi
 
 import numpy as np
 
+from .errors import NonFinite
 from .geometry import FLOAT_FMT, PointCloud
 
 MAX_DIM = 8
@@ -30,10 +35,14 @@ MAX_DIM = 8
 #: Containment slack, relative to the coordinate spread (see containment_slack).
 GEOM_TOL = 1e-9
 
+#: Largest (d+1)-th power of a coordinate given to Qhull. It fails or crashes the
+#: process from about 1e260 on: normal clouds at scale 1e52 (d = 4), 1e78 (d = 3).
+QHULL_RANGE = 1e200
+
 
 @dataclass(frozen=True)
 class HullResult:
-    """Convex hull of a cloud: sorted vertex indices, facets, and volume.
+    """Convex hull of a cloud: sorted extreme-point indices, facets, and volume.
 
     Facet k is the simplex ``points[simplices[k]]``; points p of the hull
     satisfy ``equations[k, :d] . p + equations[k, d] <= 0`` (up to
@@ -74,10 +83,23 @@ def _degenerate_result(cloud: PointCloud) -> HullResult:
     return HullResult((), empty, np.empty((0, d + 1)), 0.0, cloud.points)
 
 
-def convex_hull(cloud: PointCloud) -> HullResult:
-    """Hull of the exact input points; deterministic for fixed input order."""
+def _qhull(points: np.ndarray, options: str | None = None):
+    """Qhull's hull of full-rank points, or None if it finds them flat;
+    NonFinite for coordinates beyond QHULL_RANGE ** (1 / (d + 1))."""
     from scipy.spatial import ConvexHull, QhullError  # here: CLI start-up skips scipy
 
+    d = points.shape[1]
+    largest = np.abs(points).max()
+    if largest > QHULL_RANGE ** (1.0 / (d + 1)):
+        raise NonFinite(f"coordinates up to {largest:.3g} overflow Qhull in R^{d}")
+    try:
+        return ConvexHull(points, qhull_options=options)
+    except QhullError:
+        return None
+
+
+def convex_hull(cloud: PointCloud) -> HullResult:
+    """Hull of the exact input points; deterministic for fixed input order."""
     d = cloud.dim
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds supported maximum {MAX_DIM}")
@@ -91,17 +113,34 @@ def convex_hull(cloud: PointCloud) -> HullResult:
         equations = np.array([[1.0, -pts[hi, 0]], [-1.0, pts[lo, 0]]])
         volume = float(pts[hi, 0] - pts[lo, 0])
     else:
-        if cloud.size < d + 1 or affine_rank(pts) < d:
+        qh = None if cloud.size < d + 1 or affine_rank(pts) < d else _qhull(pts, "Qt")
+        if qh is None:
             return _degenerate_result(cloud)
-        try:
-            qh = ConvexHull(pts, qhull_options="Qt")
-        except QhullError:
-            return _degenerate_result(cloud)
-        vertices, simplices, equations = qh.vertices, qh.simplices, qh.equations
+        simplices, equations = qh.simplices, qh.equations
+        vertices = _extreme_points(simplices, equations)
         volume = _fan_volume(pts, vertices, simplices)
     return HullResult(
         tuple(sorted(int(v) for v in vertices)), simplices, equations, volume, pts
     )
+
+
+def _extreme_points(simplices: np.ndarray, equations: np.ndarray) -> np.ndarray:
+    """Facet vertices whose facets' unit normals span R^d.
+
+    Every facet at a point inside an edge or a face of the hull contains
+    that edge or face, so their normals lie in a proper subspace: the
+    smallest eigenvalue of the sum of n n^T over them is at most GEOM_TOL
+    squared, and the point is not counted. On a shuffled 3^5 grid Qhull
+    keeps two such points as vertices.
+    """
+    d = simplices.shape[1]
+    flat = simplices.ravel()
+    by_vertex = np.argsort(flat, kind="stable")
+    ids = flat[by_vertex]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    normals = equations[by_vertex // d, :d]
+    gram = np.add.reduceat(normals[:, :, None] * normals[:, None, :], starts, axis=0)
+    return ids[starts][np.linalg.eigvalsh(gram)[:, 0] > GEOM_TOL**2]
 
 
 def _fan_volume(points: np.ndarray, vertices, simplices: np.ndarray) -> float:
@@ -139,9 +178,9 @@ def unit_ball_volume(d: int) -> float:
 
 
 def to_off(hull: HullResult) -> str:
-    """OFF-format text (vertices + facets) for external viewers."""
-    verts = np.asarray(hull.vertex_indices, dtype=np.intp)
-    faces = np.searchsorted(verts, hull.simplices)  # verts is sorted
+    """OFF-format text (the facets' points + facets) for external viewers."""
+    verts = np.unique(hull.simplices)  # sorted; extreme points and any kept on faces
+    faces = np.searchsorted(verts, hull.simplices)
     out = io.StringIO()
     out.write(f"OFF\n{verts.size} {len(faces)} 0\n")
     np.savetxt(out, hull.points[verts], fmt=FLOAT_FMT)

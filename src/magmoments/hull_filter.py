@@ -23,13 +23,7 @@ import numpy as np
 
 # pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
-from .hull_exact import (
-    GEOM_TOL,
-    HullResult,
-    affine_rank,
-    containment_slack,
-    convex_hull,
-)
+from .hull_exact import HullResult, _qhull, affine_rank, containment_slack, convex_hull
 from .magnitude import _cholesky_lower, weights_at_scale
 from .moments import MomentVector, QuadratureRule, zeroth_moments
 
@@ -131,10 +125,9 @@ def approximate_hull(
     return hull, report
 
 
-def moment_prefix_curve(
-    cloud: PointCloud, moments: MomentVector
-) -> tuple[list, int | None]:
-    """(i, Vol(Conv(X_<=i)), |X_<=i|) for prefixes in descending moment order.
+def moment_prefix_curve(cloud: PointCloud, moments: MomentVector) -> np.ndarray:
+    """Rows (i, Vol(Conv(X_<=i)), |X_<=i|) for prefixes in descending moment
+    order, as one (N, 3) float64 array.
 
     Magnitudes: the Cholesky factor of a leading block of the permuted
     similarity matrix is the leading block of the full factor L, so with
@@ -143,7 +136,8 @@ def moment_prefix_curve(
     solve; a pivot below PIVOT_FLOOR raises FactorizationFailure.
 
     Volumes are zero until the prefix spans d affinely independent
-    directions. That prefix is hulled once by Qhull; from then on the hull
+    directions, by ``affine_rank`` and to Qhull (a line offset by 1e8 is
+    flat only to Qhull). That prefix is hulled once by Qhull; then the hull
     grows point by point by a beneath-beyond update in numpy
     (``_beneath_beyond``). A point counts as outside only if it lies more
     than containment_slack above some facet's plane: a point on the hull,
@@ -152,11 +146,6 @@ def moment_prefix_curve(
     full-rank prefix volume is within 6.4e-15 relative of a fresh Qhull
     hull of that prefix. At d = 1 a prefix's volume is its running max
     minus its running min.
-
-    Returns ``(curve, count)``: count is the number of extreme points of
-    the whole cloud, or None when no hull was built (d = 1, or no prefix
-    was full-dimensional). A point that became a vertex but was later left
-    on a flat part of the boundary, as on a grid, does not count.
     """
     from scipy.linalg import solve_triangular
 
@@ -172,25 +161,21 @@ def moment_prefix_curve(
     del sim, lower  # the factored N x N array; the hull pass does not need it
     magnitudes = np.cumsum(y * y)
 
-    volumes, vertex_count = np.zeros(n), None
+    volumes = np.zeros(n)
     if d == 1:
         volumes = np.maximum.accumulate(pts[:, 0]) - np.minimum.accumulate(pts[:, 0])
     else:
-        full = (size for size in range(d + 1, n + 1) if affine_rank(pts[:size]) == d)
-        size = next(full, None)
-        if size is not None:
-            volumes, vertex_count = _beneath_beyond(pts, size, containment_slack(pts))
-    curve = list(zip(range(1, n + 1), volumes.tolist(), magnitudes.tolist()))
-    return curve, vertex_count
+        volumes = _beneath_beyond(pts, containment_slack(pts))
+    return np.column_stack((np.arange(1.0, n + 1), volumes, magnitudes))
 
 
-def _beneath_beyond(pts: np.ndarray, size: int, slack: float) -> tuple[np.ndarray, int]:
-    """Hull volume of every prefix pts[:i], and the whole hull's vertex count.
+def _beneath_beyond(pts: np.ndarray, slack: float) -> np.ndarray:
+    """Hull volume of every prefix pts[:i].
 
-    pts[:size] must be full-dimensional; Qhull hulls it. Each later point p
-    more than ``slack`` above some facet's plane is added: the facets it
-    sees (height above the slack) die, the volume grows by the cones from p
-    over them, sum |det(F - p)| / d!, and each horizon ridge, a
+    Qhull hulls the shortest full-dimensional prefix, the seed. Each later
+    point p more than ``slack`` above some facet's plane is added: the
+    facets it sees (height above the slack) die, the volume grows by the
+    cones from p over them, sum |det(F - p)| / d!, and each horizon ridge, a
     (d-1)-subset of exactly one dying facet, is joined to p. New planes
     face away from a fixed interior point. Facets keep sorted vertex
     indices, so p, the newest point, is last in each of its facets (see
@@ -199,13 +184,15 @@ def _beneath_beyond(pts: np.ndarray, size: int, slack: float) -> tuple[np.ndarra
     Every point still outside keeps one conflict facet, its highest, and
     is tested again, against the live facets, only when that facet dies;
     a point found within the slack of every facet stays inside for good,
-    as the hull only grows. Prefixes shorter than ``size`` get volume 0.
+    as the hull only grows. Prefixes shorter than the seed get volume 0.
     """
-    from scipy.spatial import ConvexHull  # here: CLI start-up skips scipy
-
     n, d = pts.shape
     volumes = np.zeros(n)
-    seed = ConvexHull(pts[:size])
+    full = (pts[:size] for size in range(d + 1, n + 1) if affine_rank(pts[:size]) == d)
+    seed = next((hull for hull in map(_qhull, full) if hull is not None), None)
+    if seed is None:
+        return volumes
+    size = seed.npoints
     simplices = np.sort(seed.simplices, axis=1)
     equations = seed.equations  # inside: eq[:d] . x + eq[d] <= 0
     interior = pts[seed.vertices].mean(axis=0)
@@ -266,28 +253,7 @@ def _beneath_beyond(pts: np.ndarray, size: int, slack: float) -> tuple[np.ndarra
                 keep[orphan[~outside]] = False
                 rest, conflict = rest[keep], conflict[keep]
     volumes[last:] = volume
-    return volumes, _vertex_count(simplices, equations)
-
-
-def _vertex_count(simplices: np.ndarray, equations: np.ndarray) -> int:
-    """Hull vertices whose facets' unit normals span R^d.
-
-    A vertex that later points left on a flat part of the boundary (within
-    the slack of a facet's plane, or of a lower-dimensional face) has
-    facets whose normals all lie in a proper subspace, so it is not an
-    extreme point and does not count: the smallest eigenvalue of the sum
-    of n n^T over its facets must exceed GEOM_TOL squared.
-    """
-    d = simplices.shape[1]
-    normals = equations[:, :d]
-    flat = simplices.ravel()
-    by_vertex = np.argsort(flat, kind="stable")
-    ids = flat[by_vertex]
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    incident = normals[by_vertex // d]
-    gram = np.add.reduceat(incident[:, :, None] * incident[:, None, :], starts, axis=0)
-    lam = np.linalg.eigvalsh(gram)[:, 0]
-    return int(np.count_nonzero(lam > GEOM_TOL**2))
+    return volumes
 
 
 def _highest_facets(x: np.ndarray, equations: np.ndarray, slack: float):

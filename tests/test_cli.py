@@ -216,6 +216,11 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         ),
         pytest.param({"pointsPerTrial": 20.5}, id="fractional-points"),
         pytest.param({"seeds": [0.5]}, id="fractional-seed"),
+        pytest.param({"dims": 2}, id="dims-not-list"),
+        pytest.param({"seeds": 5}, id="seeds-not-list"),
+        pytest.param({"volumeFraction": "0.5"}, id="string-fraction"),
+        pytest.param({"dims": [2, 2]}, id="repeated-dim"),
+        pytest.param({"dims": []}, id="no-dims"),
     ],
 )
 def test_malformed_experiment_config_exits_two(tmp_path, config):

@@ -143,12 +143,24 @@ def test_config_validation():
         pytest.param('{"trialsPerDim": 2.5}', ValueError, id="fractional-trials"),
         pytest.param('{"quadratureOrder": 32.5}', ValueError, id="fractional-order"),
         pytest.param('{"pointsPerTrial": 30.5}', ValueError, id="fractional-points"),
+        pytest.param('{"dims": 2}', ValueError, id="dims-not-list"),
+        pytest.param('{"trialsPerDim": 1, "seeds": 5}', ValueError, id="seeds-not-list"),
+        pytest.param('{"volumeFraction": "0.5"}', ValueError, id="string-fraction"),
+        pytest.param('{"dims": [2, 2]}', ValueError, id="repeated-dim"),
+        pytest.param('{"dims": []}', ValueError, id="no-dims"),
+        pytest.param('{"trialsPerDim": 1, "seeds": ["3"]}', ValueError, id="string-seed"),
+        pytest.param('{"pointsPerTrial": "50"}', ValueError, id="string-points"),
+        pytest.param(
+            '{"datasetSpec": {"kind": "gaussian-blobs", "params": {"sigma": "1.5"}}}',
+            InvalidSpec, id="string-sigma",
+        ),
     ],
 )
 def test_config_rejects_malformed_trials_when_built(raw, error):
     # Each of these once ran every trial to a warning and an empty table,
     # crashed with a TypeError, or, for seeds [1.5, 1], ran seed 1 twice and
-    # averaged both runs into the table.
+    # averaged both runs into the table; dims [2, 2] ran each trial twice,
+    # and string numbers were converted.
     with pytest.raises(error):
         ExperimentConfig.from_json(raw)
 
@@ -176,18 +188,6 @@ def test_table1_and_curves_in_one_dimension(tmp_path):
     records = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
     assert [r["hullVertexCount"] for r in records] == [2, 2]  # no failure lines
     assert len(run_prefix_curves(cfg, str(tmp_path))) == 4
-
-
-def test_run_trial_counts_vertices_without_an_incremental_hull(monkeypatch):
-    cfg = _tiny_config()
-    want = run_trial(cfg, 2, 0).hull_vertex_count
-    real = experiments.moment_prefix_curve
-
-    def no_hull(cloud, moments):
-        return real(cloud, moments)[0], None
-
-    monkeypatch.setattr(experiments, "moment_prefix_curve", no_hull)
-    assert run_trial(cfg, 2, 0).hull_vertex_count == want
 
 
 def _store_config():

@@ -204,7 +204,7 @@ def test_approx_volume_never_exceeds_full():
 def test_blob_cloud_reaches_90_percent_quickly():
     cloud = _blob_cloud(n=1000, seed=7)
     mv = _moments(cloud)
-    curve, _ = moment_prefix_curve(cloud, mv)
+    curve = moment_prefix_curve(cloud, mv)
     full = curve[-1][1]
     i90 = next(i for i, vol, _ in curve if vol >= 0.9 * full)
     # Dimension-2 blob clouds need only a handful of top-moment points.
@@ -229,7 +229,7 @@ def test_removal_budget_guarantee():
 def test_prefix_curve_endpoints_and_monotonicity():
     cloud = _blob_cloud(n=80, dim=3)
     mv = _moments(cloud)
-    curve, _ = moment_prefix_curve(cloud, mv)
+    curve = moment_prefix_curve(cloud, mv)
     assert [i for i, _, _ in curve] == list(range(1, 81))
     # Degenerate prefixes carry zero volume.
     for i, vol, _ in curve[: cloud.dim]:
@@ -248,25 +248,17 @@ def test_prefix_curve_endpoints_and_monotonicity():
 def test_prefix_curve_vertex_count_matches_convex_hull(dim):
     cloud = _blob_cloud(n=200, dim=dim, seed=60 + dim)
     mv = _moments(cloud)
-    curve, count = moment_prefix_curve(cloud, mv)
-    assert moment_prefix_curve(cloud, mv) == (curve, count)
-    assert count == convex_hull(cloud).vertex_count
-
-
-def test_prefix_curve_vertex_count_none_without_a_hull():
-    cloud, mv = _in_given_order(np.outer(np.arange(1.0, 9.0), [1.0, -2.0]))
-    curve, count = moment_prefix_curve(cloud, mv)
-    assert count is None
-    assert all(vol == 0.0 for _, vol, _ in curve)
+    curve = moment_prefix_curve(cloud, mv)
+    assert curve.shape == (cloud.size, 3) and curve.dtype == np.float64
+    np.testing.assert_array_equal(moment_prefix_curve(cloud, mv), curve)
 
 
 def test_prefix_curve_in_one_dimension_matches_convex_hull():
     cloud = _blob_cloud(n=20, dim=1, seed=59)
     mv = _moments(cloud)
-    curve, count = moment_prefix_curve(cloud, mv)
-    assert count is None  # no Qhull at d = 1
+    curve = moment_prefix_curve(cloud, mv)
     order = np.argsort(mv.mu0, kind="stable")[::-1]
-    for i, vol, _ in curve:
+    for i, vol in enumerate(curve[:, 1], start=1):
         assert vol == convex_hull(cloud.subset(order[:i])).volume
 
 
@@ -317,7 +309,7 @@ def test_prefix_curve_matches_bruteforce(case):
     cloud, mv = case()
     order = np.argsort(mv.mu0, kind="stable")[::-1]
     want = prefix_curve_bruteforce(cloud.points[order])
-    got, _ = moment_prefix_curve(cloud, mv)
+    got = moment_prefix_curve(cloud, mv)
     assert [i for i, _, _ in got] == [i for i, _, _ in want]
     for (_, vol, mag), (_, want_vol, want_mag) in zip(got, want):
         assert vol == pytest.approx(want_vol, rel=1e-12, abs=0.0)
@@ -328,11 +320,15 @@ def test_prefix_curve_matches_bruteforce(case):
     "side, dim, seed", [(8, 2, 56), (5, 3, 57), (4, 4, 1), (3, 5, 5)]
 )
 def test_prefix_curve_counts_only_a_shuffled_grids_corners(side, dim, seed):
-    # Points that join the hull early are later left on its facets and
-    # ridges; they are no longer extreme points and must not count.
-    cloud, mv = _shuffled_grid(side, dim, seed)
-    _, count = moment_prefix_curve(cloud, mv)
-    assert count == 2**dim
+    # Table 1's vertex count is convex_hull's. Grid points on the hull's
+    # facets and edges are not extreme points and must not count, even
+    # where Qhull keeps them in its facets (two on the 3^5 grid); the OFF
+    # export still lists every point its facets use.
+    cloud, _ = _shuffled_grid(side, dim, seed)
+    hull = convex_hull(cloud)
+    assert hull.vertex_count == 2**dim
+    n_points, n_faces, _ = map(int, to_off(hull).splitlines()[1].split())
+    assert (n_points, n_faces) == (np.unique(hull.simplices).size, len(hull.simplices))
 
 
 @st.composite
@@ -357,10 +353,10 @@ def _on_line_cloud(seed, n, dim, on_line):
 # numpy's default matrix_rank tolerance calls this cloud's 3-point prefix
 # rank 2 and its 4-point prefix rank 1; the curve's own rule is affine_rank.
 @example(_on_line_cloud(3359175839, 22, 2, 4))
+@example(_on_line_cloud(0, 8, 2, 8))  # the whole cloud on one line: every volume 0
 def test_prefix_curve_volumes_grow_to_the_full_hull(case):
     cloud, mv = case
-    curve, count = moment_prefix_curve(cloud, mv)
-    vols = np.array([vol for _, vol, _ in curve])
+    vols = moment_prefix_curve(cloud, mv)[:, 1]
     pts, d = cloud.points, cloud.dim
     full_rank = np.array([affine_rank(pts[:i]) == d for i in range(1, cloud.size + 1)])
     assert np.all(vols[~full_rank] == 0.0)
@@ -368,7 +364,6 @@ def test_prefix_curve_volumes_grow_to_the_full_hull(case):
     assert np.all(np.diff(vols) >= 0.0)
     full = convex_hull(cloud)
     assert vols[-1] == pytest.approx(full.volume, rel=1e-12, abs=0.0)
-    assert count == full.vertex_count
 
 
 def test_prefix_curve_pivot_floor_raises(monkeypatch):

@@ -5,15 +5,19 @@ from hypothesis import strategies as st
 
 from magmoments import (
     DuplicatePoints,
+    MagnitudeError,
     MomentVector,
     PointCloud,
     QuadratureDivergence,
+    approximate_hull,
     gauss_laguerre_rule,
     higher_moments,
     laplace_moment,
     log_trapezoid_rule,
+    magnitude_function,
     magnitude_moment,
     moment_prefix_curve,
+    weights_at_scale,
     zeroth_moments,
 )
 from magmoments import magnitude, moments
@@ -142,7 +146,7 @@ def test_moments_follow_a_random_permutation(n, dim, log_scale, seed):
     [
         zeroth_moments,
         magnitude_moment,
-        lambda c: moment_prefix_curve(c, MomentVector(np.arange(4.0), np.nan))[0],
+        lambda c: moment_prefix_curve(c, MomentVector(np.arange(4.0), np.nan)),
     ],
     ids=["zeroth_moments", "magnitude_moment", "moment_prefix_curve"],
 )
@@ -152,6 +156,68 @@ def test_duplicates_raise_even_when_every_node_underflows(evaluate):
     cloud = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [1e6, 0.0], [0.0, 1e6]]))
     with pytest.raises(DuplicatePoints):
         evaluate(cloud)
+
+
+def _awkward_points(seed, dim, shape, log_gap, log_scale, offset):
+    """30 normal points at d = dim, or on one line, or in pairs 10**log_gap
+    apart, scaled by 10**log_scale and shifted by offset."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(30, dim))
+    if shape == "line":
+        pts = np.outer(rng.normal(size=30), rng.normal(size=dim))
+    elif shape == "near-duplicates":
+        pts[1::2] = pts[::2] + 10.0**log_gap * rng.normal(size=(15, dim))
+    return pts * 10.0**log_scale + offset
+
+
+def _weights_at_one(cloud):
+    wv = weights_at_scale(cloud, 1.0)
+    return np.append(wv.weights, wv.magnitude)
+
+
+def _approximate_hull(cloud):
+    hull, report = approximate_hull(cloud, 1.0)
+    return np.append(hull.equations, [hull.volume, report.magnitude_at_one])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        _awkward_points,
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.sampled_from(["normal", "line", "near-duplicates"]),
+        st.floats(-14.0, -8.0),
+        st.floats(-300.0, 300.0),
+        st.sampled_from([0.0, 1e8, 1e16]),
+    )
+)
+@example(_awkward_points(0, 2, "normal", -12.0, -160.0, 0.0))  # DuplicatePoints
+@example(_awkward_points(0, 2, "normal", -12.0, 300.0, 0.0))  # NonFinite
+@example(_awkward_points(0, 2, "normal", -12.0, 0.0, 1e16))  # DuplicatePoints
+@example(_awkward_points(0, 2, "normal", -12.0, -6.0, 0.0))
+@example(_awkward_points(0, 2, "normal", -12.0, 150.0, 0.0))  # NonFinite from the hulls
+@example(_awkward_points(0, 2, "line", -12.0, 0.0, 0.0))
+@example(_awkward_points(0, 2, "near-duplicates", -11.85, 0.0, 0.0))
+@example(_awkward_points(0, 2, "line", -8.0, 0.0, 1e8))  # flat to Qhull only
+@example(_awkward_points(0, 4, "normal", -12.0, 105.0, 0.0))  # NonFinite, not a crash
+def test_awkward_clouds_raise_typed_errors_or_give_finite_values(pts):
+    # Extreme coordinate scales, near-duplicates and collinear sets: each
+    # entry point raises a MagnitudeError or returns finite values only.
+    cloud = PointCloud(pts)
+    in_given_order = MomentVector(np.arange(cloud.size, 0.0, -1.0), np.nan)
+    for evaluate in (
+        _weights_at_one,
+        lambda c: zeroth_moments(c, estimate_error=False).mu0,
+        lambda c: magnitude_function(c, [0.5, 1.0, 2.0]),
+        lambda c: moment_prefix_curve(c, in_given_order),
+        _approximate_hull,
+    ):
+        try:
+            values = evaluate(cloud)
+        except MagnitudeError:
+            continue
+        assert np.all(np.isfinite(values))
 
 
 #: Clouds for the dense oracle, with the relative tolerance it can resolve.
