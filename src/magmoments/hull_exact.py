@@ -5,10 +5,9 @@ triangulated facet output so every facet is a (d-1)-simplex. A hull keeps
 its facets as Qhull's own arrays: ``simplices`` (F x d vertex indices)
 and ``equations`` (F x (d+1) rows, eq[:d] . p + eq[d] <= 0 inside).
 ``moment_prefix_curve`` seeds its hull from Qhull in the same form and
-grows those arrays itself, by a beneath-beyond update in numpy. Volume
-is recomputed independently by a fan triangulation from the vertex
-centroid; Qhull's own volume and a divergence-theorem surface integral
-serve as cross-checks in the test suite.
+grows those arrays itself, by a beneath-beyond update in numpy. The
+volume is Qhull's own; a divergence-theorem surface integral serves as a
+cross-check in the test suite.
 
 A hull's vertices, which Table 1 and the ``hull`` commands count, are its
 extreme points: a point Qhull keeps in a facet but that lies inside an
@@ -84,8 +83,12 @@ def _degenerate_result(cloud: PointCloud) -> HullResult:
 
 
 def _qhull(points: np.ndarray, options: str | None = None):
-    """Qhull's hull of full-rank points, or None if it finds them flat;
-    NonFinite for coordinates beyond QHULL_RANGE ** (1 / (d + 1))."""
+    """Qhull's hull of full-rank points, or None if it finds them flat.
+
+    NonFinite for coordinates beyond QHULL_RANGE ** (1 / (d + 1)), and for
+    a hull whose volume underflows below the smallest normal float (a 4-D
+    cloud at scale 1e-80 has volume about 1e-319, at 1e-106 exactly 0).
+    """
     from scipy.spatial import ConvexHull, QhullError  # here: CLI start-up skips scipy
 
     d = points.shape[1]
@@ -93,9 +96,12 @@ def _qhull(points: np.ndarray, options: str | None = None):
     if largest > QHULL_RANGE ** (1.0 / (d + 1)):
         raise NonFinite(f"coordinates up to {largest:.3g} overflow Qhull in R^{d}")
     try:
-        return ConvexHull(points, qhull_options=options)
+        hull = ConvexHull(points, qhull_options=options)
     except QhullError:
         return None
+    if not hull.volume >= np.finfo(np.float64).tiny:
+        raise NonFinite(f"hull volume {hull.volume:.3g} underflows in R^{d}")
+    return hull
 
 
 def convex_hull(cloud: PointCloud) -> HullResult:
@@ -118,7 +124,7 @@ def convex_hull(cloud: PointCloud) -> HullResult:
             return _degenerate_result(cloud)
         simplices, equations = qh.simplices, qh.equations
         vertices = _extreme_points(simplices, equations)
-        volume = _fan_volume(pts, vertices, simplices)
+        volume = float(qh.volume)
     return HullResult(
         tuple(sorted(int(v) for v in vertices)), simplices, equations, volume, pts
     )
@@ -143,17 +149,9 @@ def _extreme_points(simplices: np.ndarray, equations: np.ndarray) -> np.ndarray:
     return ids[starts][np.linalg.eigvalsh(gram)[:, 0] > GEOM_TOL**2]
 
 
-def _fan_volume(points: np.ndarray, vertices, simplices: np.ndarray) -> float:
-    centroid = points[list(vertices)].mean(axis=0)
-    dets = np.linalg.det(points[simplices] - centroid)
-    return float(np.abs(dets).sum() / gamma(points.shape[1] + 1))
-
-
 def hull_volume(hull: HullResult) -> float:
-    """Volume by fan triangulation from the centroid of the hull vertices."""
-    if hull.degenerate:
-        return 0.0
-    return _fan_volume(hull.points, hull.vertex_indices, hull.simplices)
+    """The hull's volume: Qhull's, or max - min at d = 1; 0 if degenerate."""
+    return hull.volume
 
 
 def containment_slack(points: np.ndarray) -> float:

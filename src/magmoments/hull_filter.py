@@ -2,7 +2,9 @@
 
 Points are sorted ascending by their zeroth moment and the longest prefix
 whose moments stay under the budget threshold eps / (d * i * |X|) is
-removed; the hull is computed on what remains. Low-moment points are
+removed; the hull is computed on what remains. |X| is the magnitude at
+t = 1, solved once per cloud and held on it, so an epsilon sweep over one
+cloud factors its N x N matrix at t = 1 once. Low-moment points are
 interior, so dropping them barely changes the hull.
 
 Two threshold conventions are available:
@@ -21,10 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# pairwise_distances is unused here; perfbench/selfcheck.py checks this import site.
+# pairwise_distances and weights_at_scale are unused here; perfbench/selfcheck.py
+# checks these import sites.
 from .geometry import PointCloud, pairwise_distances  # noqa: F401
 from .hull_exact import HullResult, _qhull, affine_rank, containment_slack, convex_hull
-from .magnitude import _cholesky_lower, weights_at_scale
+from .magnitude import _cholesky_lower, _magnitude_at_one, weights_at_scale  # noqa: F401
 from .moments import MomentVector, QuadratureRule, zeroth_moments
 
 CONVENTIONS = ("derived", "paper")
@@ -59,12 +62,11 @@ def filter_by_moment(
     moments: MomentVector,
     epsilon: float,
     convention: str = "derived",
-    magnitude_at_one: float | None = None,
 ) -> FilterReport:
     """Remove the longest low-moment prefix admitted by the budget epsilon.
 
-    The threshold denominator uses the cloud's magnitude at scale t=1; a
-    caller that holds it passes it in, and it must be positive and finite.
+    The threshold denominator uses the cloud's magnitude at scale t=1,
+    solved on the first call for a cloud and held on it for the next.
     Removal never goes below d+1 kept points so the returned set can
     still carry a full-dimensional hull.
     """
@@ -73,10 +75,7 @@ def filter_by_moment(
     d = cloud.dim
     if moments.mu0.shape[0] != n:
         raise ValueError("moment vector does not match cloud size")
-    if magnitude_at_one is None:
-        magnitude_at_one = weights_at_scale(cloud, 1.0).magnitude
-    elif not 0 < magnitude_at_one < math.inf:  # also rejects NaN
-        raise ValueError("magnitude_at_one must be positive and finite")
+    magnitude_at_one = _magnitude_at_one(cloud)
 
     order = _ascending_order(moments.mu0)
     mu_sorted = moments.mu0[order]

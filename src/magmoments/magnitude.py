@@ -9,7 +9,7 @@ explicit inverse.
 
 Memory: beyond the cloud's distances, each solve holds one N x N array
 (8 N^2 bytes), the similarity matrix, which the Cholesky route factors in
-place.
+place. The cloud also keeps |X| at t = 1, one float, once it is solved.
 """
 
 from __future__ import annotations
@@ -185,11 +185,27 @@ def weights_at_scale(cloud: PointCloud, t: float) -> WeightVector:
     return _solve(_similarity_entries(cloud, t), float(t))
 
 
+def _magnitude_at_one(cloud: PointCloud) -> float:
+    """|X| at t = 1, solved on first use and kept on the cloud.
+
+    The threshold of ``filter_by_moment`` and the t = 1 point of
+    ``magnitude_function`` read it, so an epsilon sweep over one cloud
+    factors its N x N matrix at t = 1 once. A new cloud, even of the same
+    points, solves again.
+    """
+    # The cloud is frozen; like its cached distances, the value goes in its __dict__.
+    held = vars(cloud)
+    if "_magnitude_at_one" not in held:
+        held["_magnitude_at_one"] = weights_at_scale(cloud, 1.0).magnitude
+    return held["_magnitude_at_one"]
+
+
 def magnitude_function(cloud: PointCloud, scales) -> list[tuple[float, float]]:
     """Evaluate t -> |tX| at each scale, in input order.
 
     ``t = inf`` is answered with N directly (the t -> infinity limit)
-    rather than solving a system.
+    rather than solving a system, and ``t = 1`` with the value the cloud
+    holds (``_magnitude_at_one``), solved at most once per cloud.
     """
     scales = list(scales)
     if not scales:
@@ -202,7 +218,10 @@ def magnitude_function(cloud: PointCloud, scales) -> list[tuple[float, float]]:
         if t <= 0:
             raise ValueError(f"scale t={t} must be positive")
         try:
-            out.append((float(t), weights_at_scale(cloud, t).magnitude))
+            if t == 1:
+                out.append((1.0, _magnitude_at_one(cloud)))
+            else:
+                out.append((float(t), weights_at_scale(cloud, t).magnitude))
         except FactorizationFailure as exc:
             raise FactorizationFailure(f"at scale t={t}: {exc}") from exc
     return out

@@ -222,7 +222,7 @@ def test_criterion_08_quadrature_stability(kind, dim):
 
 
 def test_criterion_09_hull_oracles():
-    """Hull vertices match brute force; fan volume matches divergence."""
+    """Hull vertices match brute force; hull volume matches divergence."""
     rng = np.random.default_rng(9001)
     for _ in range(100):
         n = int(rng.integers(10, 41))

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from magmoments import PointCloud, convex_hull, hull_volume, unit_ball_volume
+from magmoments import NonFinite, PointCloud, convex_hull, hull_volume, unit_ball_volume
 from magmoments.hull_exact import contains, to_off
 
 import oracles
@@ -57,6 +58,22 @@ def test_fan_volume_matches_divergence_theorem():
         hull = convex_hull(PointCloud(rng.normal(size=(40, d))))
         div = oracles.divergence_volume(hull)
         assert hull_volume(hull) == pytest.approx(div, rel=1e-9)
+
+
+def test_shuffled_grid_volume_is_the_cube():
+    # Qhull keeps points inside faces of the grid's cube as vertices, so
+    # its triangles overlap and a sum over them over-counts the volume.
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=5)))
+    hull = convex_hull(PointCloud(np.random.default_rng(5).permutation(grid)))
+    assert hull.volume == hull_volume(hull) == pytest.approx(32.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e-106])
+def test_underflowing_volume_raises(scale):
+    pts = np.random.default_rng(0).normal(size=(40, 4))
+    assert convex_hull(PointCloud(pts)).volume > 1.0  # at scale 1, a normal volume
+    with pytest.raises(NonFinite, match="underflows"):
+        convex_hull(PointCloud(pts * scale))
 
 
 def test_unit_ball_volume():

@@ -103,7 +103,7 @@ def test_paper_convention_also_supported():
         order = np.argsort(mu0, kind="stable")
         for eps in (0.0, 1e-6, 0.01, 0.1, 1.0, 10.0, math.inf):
             for convention in ("derived", "paper"):
-                report = filter_by_moment(cloud, tied, eps, convention, magnitude_at_one)
+                report = filter_by_moment(cloud, tied, eps, convention)
                 count = filter_removed_count(mu0, d, eps, magnitude_at_one, convention)
                 assert report.removed_indices == tuple(order[:count].tolist())
                 assert report.kept_indices == tuple(order[count:].tolist())
@@ -141,11 +141,29 @@ def test_approximate_hull_checks_its_budget_before_the_node_loop(
         approximate_hull(_blob_cloud(n=10), epsilon, convention=convention)
 
 
-@pytest.mark.parametrize("magnitude_at_one", [math.nan, -1.0, 0.0, math.inf])
-def test_bad_magnitude_at_one_rejected(magnitude_at_one):
-    cloud = _blob_cloud(n=30)
-    with pytest.raises(ValueError, match="magnitude_at_one"):
-        filter_by_moment(cloud, _moments(cloud), 0.5, magnitude_at_one=magnitude_at_one)
+def test_epsilon_sweep_solves_magnitude_at_one_once(cholesky_calls):
+    cloud = _blob_cloud(n=120)
+    n = cloud.size
+    mv = _moments(cloud)
+    cholesky_calls.clear()
+    epsilons = (0.0, 0.01, 0.1, 1.0, 10.0, math.inf)
+    reports = [filter_by_moment(cloud, mv, eps) for eps in epsilons]
+    assert cholesky_calls == [n]  # t = 1, on the first call
+    values = magnitude.magnitude_function(cloud, [0.5, 1.0])
+    assert cholesky_calls == [n, n]  # t = 0.5; t = 1 is held
+    held = magnitude.weights_at_scale(cloud, 1.0).magnitude
+    assert {r.magnitude_at_one for r in reports} == {held}
+    assert values[1] == (1.0, held)
+
+
+def test_a_new_cloud_of_the_same_points_solves_again(cholesky_calls):
+    cloud = _blob_cloud(n=60)
+    mv = _moments(cloud)
+    cholesky_calls.clear()
+    first = filter_by_moment(cloud, mv, 1.0)
+    second = filter_by_moment(PointCloud(cloud.points), mv, 1.0)
+    assert cholesky_calls == [cloud.size] * 2
+    assert first == second
 
 
 def test_triangle_plus_centroid():
