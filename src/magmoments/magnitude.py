@@ -45,13 +45,24 @@ CG_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Per-point weights w = zeta^{-1} 1 at scale t, with their sum."""
+    """Per-point weights w = zeta^{-1} 1 at scale t, with their sum.
+
+    ``weights`` is a read-only 1-D array. Weights that are not 1-D, or a
+    scale outside (0, inf), raise ValueError. A vector returned by
+    ``schur.union_weights`` also holds zeta's Cholesky factor for the next
+    union of a stream.
+    """
 
     weights: np.ndarray
     scale: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 1:  # checked before ascontiguousarray, which makes 0-D 1-D
+            raise ValueError(f"weights must be a 1-D array, not shape {w.shape}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, not {self.scale}")
+        w = np.ascontiguousarray(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

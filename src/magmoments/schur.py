@@ -16,16 +16,21 @@ about N^3 flops) and kept on it, one N x N array. So a split costs a
 gather of B's |P|^2 entries and |P|^3 / 3 flops for B's Cholesky factor;
 S is formed only as schur_complement's return value.
 
-One elimination of the Y block gives the weights of a union Z = W u Y,
-W = X \\ Y, from Y's weights alone, at the cost of one |W| and one |Y|
-Cholesky factorization:
+A union Z = X u Y grows zeta_X's lower Cholesky factor by the new
+points Y' = Y \\ X (block Cholesky; Golub & Van Loan, Matrix
+Computations, 4.2):
 
-    w_Z[W] = (A/A_Y)^{-1} (1_W - A_{W,Y} w_Y)
-    w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
+    L_Z = [[L_X, 0], [C^T, L_S]],   C = L_X^{-1} A_{X,Y'},
+    L_S L_S^T = A_{Y'} - C^T C,
+
+then solves zeta_Z w = 1 with L_Z. The weights it returns hold L_Z, so
+the next union of a stream borders it again: |X|^2 |Y'| + |Y'|^3 / 3
+flops a union, plus |X|^3 / 3 when zeta_X must first be factored.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +40,12 @@ from .geometry import (
     DUPLICATE_TOL,
     PointCloud,
     SimilarityMatrix,
-    build_similarity,
+    _similarity_entries,
     pairwise_distances,
 )
-# weights_at_scale is unused here; perfbench/selfcheck.py checks this import site.
+# build_similarity and weights_at_scale are unused here; perfbench/selfcheck.py
+# checks these import sites.
+from .geometry import build_similarity  # noqa: F401
 from .magnitude import WeightVector, _cholesky_lower, weights_at_scale  # noqa: F401
 
 
@@ -184,8 +191,9 @@ def restriction_bounds(
     return upper, det_upper, lower
 
 
-def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
-    """Cloud on Z = X u Y: points of X \\ Y in X order, then Y in Y order.
+def _match(cloud_x: PointCloud, cloud_y: PointCloud):
+    """Y-to-X distances (|Y| x |X|), for each point of Y the index of the
+    point of X it is or -1, and the mask of W = X \\ Y on X.
 
     A point of Y at distance 0 from a point of X is that point. One closer
     than DUPLICATE_TOL but not at distance 0 is ambiguous for the block
@@ -193,7 +201,7 @@ def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
     """
     if cloud_x.dim != cloud_y.dim:
         raise ValueError("clouds must share dimension")
-    dist = pairwise_distances(cloud_y, cloud_x)  # |Y| x |X|
+    dist = pairwise_distances(cloud_y, cloud_x)
     nearest = dist.argmin(axis=1)
     gaps = dist[np.arange(cloud_y.size), nearest]
     ambiguous = np.flatnonzero((gaps > 0) & (gaps < DUPLICATE_TOL))
@@ -205,7 +213,69 @@ def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
         )
     keep_x = np.ones(cloud_x.size, bool)
     keep_x[nearest[gaps == 0]] = False
+    return dist, np.where(gaps == 0, nearest, -1), keep_x
+
+
+def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
+    """Cloud on Z = X u Y: points of X \\ Y in X order, then Y in Y order.
+
+    Points are matched as in union_weights: a point of Y at distance 0
+    from a point of X is that point, and one nearer than DUPLICATE_TOL but
+    not at distance 0 raises OverlapAmbiguity.
+    """
+    keep_x = _match(cloud_x, cloud_y)[2]
     return PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points]))
+
+
+def _hold(weights: WeightVector, lower, points, order) -> WeightVector:
+    """Keep a Cholesky factor of zeta on ``weights``, read-only.
+
+    Row i of ``lower`` is point ``order[i]`` of ``points``. The vector is
+    frozen; like the held inverse, the factor goes in its __dict__.
+    """
+    for array in (lower, points, order):
+        array.setflags(write=False)
+    vars(weights)["_factor"] = (lower, points, order)
+    return weights
+
+
+def _mapped_square(n: int) -> np.ndarray:
+    """n x n zeros, Fortran-ordered, in an anonymous memory mapping of their own.
+
+    A stream replaces its held factor by a larger one at every union. On
+    the C heap each freed factor left a hole too small for the next one,
+    and the holes stayed resident: the perfbench schur_updates worker (N =
+    800, four unions) peaked 14.7 MB higher than with no factor held, not
+    5.1 MB. A mapping goes back to the system when the array is freed; on
+    Linux MAP_POPULATE maps its pages in one call, not one fault each.
+    """
+    size = 8 * n * n
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        buffer = mmap.mmap(-1, size, flags=flags)
+    else:
+        buffer = mmap.mmap(-1, size)
+    return np.ndarray((n, n), order="F", buffer=buffer)
+
+
+def _border(lower_x, dist_new_x, dist_new, scale):
+    """L_Z = [[L_X, 0], [C^T, L_S]]: L_X bordered by the points Y'.
+
+    ``dist_new_x`` holds the Y'-to-X distances, X in L_X's row order, and
+    ``dist_new`` Y''s own; A = exp(-t d) is taken here. C = L_X^{-1}
+    A_{X,Y'} is one triangular solve (|X|^2 |Y'| flops) and L_S the
+    factor of A_{Y'} - C^T C (|Y'|^3 / 3 flops; PIVOT_FLOOR applies).
+    L_Z is a fresh Fortran-ordered array whose lower triangle is read.
+    """
+    from scipy.linalg.lapack import dtrtrs  # here: CLI start-up skips scipy
+
+    nx, nz = lower_x.shape[0], lower_x.shape[0] + dist_new.shape[0]
+    c, _ = dtrtrs(lower_x, np.exp(-scale * dist_new_x).T, lower=1, overwrite_b=1)
+    grown = _mapped_square(nz)
+    grown[:nx, :nx] = lower_x
+    grown[nx:, :nx] = c.T
+    grown[nx:, nx:] = _cholesky_lower(np.exp(-scale * dist_new) - c.T @ c)
+    return grown
 
 
 def union_weights(
@@ -214,43 +284,60 @@ def union_weights(
     weights_x: WeightVector,
     weights_y: WeightVector,
 ) -> WeightVector:
-    """Weight vector on Z = X u Y by one elimination of the Y block of zeta_Z.
+    """Weight vector on Z = X u Y from zeta_X's Cholesky factor, bordered.
 
     Output ordering matches union_cloud: W = X \\ Y first (X order), then
-    Y (Y order). With A = zeta_Z split into the W and Y blocks,
+    Y (Y order). L_X is the factor weights_x holds if it was built for
+    exactly cloud_x's points, as a vector this function returns is;
+    otherwise zeta_X is factored afresh, |X|^3 / 3 flops. L_X is bordered
+    by Y' = Y \\ X, |X|^2 |Y'| + |Y'|^3 / 3 flops, and zeta_Z w = 1 is
+    solved with the grown factor. A_{X,Y'} and A_{Y'} come from the Y-to-X
+    distances that match the clouds and from cloud_y's own distances; no
+    |Z| x |Z| distance or similarity matrix is built.
 
-        w_Z[W] = (A/A_Y)^{-1} (1_W - A_{W,Y} w_Y)
-        w_Z[Y] = A_Y^{-1} (1_Y - A_{W,Y}^T w_Z[W])
-
-    from one |W| and one |Y| Cholesky factorization. Only Y's weights
-    enter. If X is contained in Y, Z is Y and weights_y is returned.
+    The result holds the grown factor, 8 |Z|^2 bytes, read-only, and no
+    reference to weights_x's. The weights themselves are not read: of
+    weights_x and weights_y only the scale, the sizes and weights_x's
+    factor are, except that X inside Y returns weights_y, and Y inside X
+    returns weights_x reordered, sharing its factor. Neither factors.
     """
     if weights_x.scale != weights_y.scale:
         raise ValueError("weight vectors must share the same scale t")
     _check_size(weights_x, cloud_x.size, "weights_x")
     _check_size(weights_y, cloud_y.size, "weights_y")
-    cloud_z = union_cloud(cloud_x, cloud_y)
-    nw = cloud_z.size - cloud_y.size
+    t = weights_x.scale
+    dist, matched, keep_x = _match(cloud_x, cloud_y)
+    nw = int(keep_x.sum())
     if not nw:
         return weights_y
-    import scipy.linalg
+    shared = matched >= 0
+    new = np.flatnonzero(~shared)  # Y' = Y \\ X, in Y order
+    # Where each point of X sits in Z.
+    z_of_x = np.empty(cloud_x.size, np.intp)
+    z_of_x[keep_x] = np.arange(nw)
+    z_of_x[matched[shared]] = nw + np.flatnonzero(shared)
+    points_z = np.vstack([cloud_x.points[keep_x], cloud_y.points])
+    dist_y = cloud_y.distances  # raises DuplicatePoints, as Z's would
+    held = vars(weights_x).get("_factor")
+    if held is not None and not np.array_equal(held[1], cloud_x.points):
+        held = None
+    if not new.size:
+        w_z = np.empty(points_z.shape[0])
+        w_z[z_of_x] = weights_x.weights
+        out = WeightVector(w_z, t)
+        return out if held is None else _hold(out, held[0], points_z, z_of_x[held[2]])
+    from scipy.linalg.lapack import dpotrs  # here: CLI start-up skips scipy
 
-    a = build_similarity(cloud_z, weights_x.scale).entries
-    del cloud_z  # frees the union's distance matrix before the block solves
-    a_wy = a[:nw, nw:]
-    # The factor overwrites its argument: hand over a copy of the Y block.
-    lower_y = _cholesky_lower(a[nw:, nw:].copy())
-    schur_w = a[:nw, :nw] - a_wy @ scipy.linalg.cho_solve(
-        (lower_y, True), a_wy.T, check_finite=False
+    if held is None:
+        lower_x = _cholesky_lower(_similarity_entries(cloud_x, t))
+        order_x = np.arange(cloud_x.size)
+    else:
+        lower_x, _, order_x = held
+    lower_z = _border(
+        lower_x, dist[new[:, None], order_x], dist_y[np.ix_(new, new)], t
     )
-    schur_w = 0.5 * (schur_w + schur_w.T)
-    w_w = scipy.linalg.cho_solve(
-        (_cholesky_lower(schur_w), True),
-        1.0 - a_wy @ weights_y.weights,
-        check_finite=False,
-    )
-    w_y = scipy.linalg.cho_solve(
-        (lower_y, True), 1.0 - a_wy.T @ w_w, check_finite=False
-    )
-    w_z = np.concatenate([w_w, w_y])
-    return WeightVector(w_z, weights_x.scale)
+    order_z = np.concatenate([z_of_x[order_x], nw + new])
+    solved, _ = dpotrs(lower_z, np.ones(len(order_z)), lower=1)
+    w_z = np.empty(len(order_z))
+    w_z[order_z] = solved
+    return _hold(WeightVector(w_z, t), lower_z, points_z, order_z)

@@ -281,6 +281,16 @@ def test_log_weight_coloring():
     assert colors[2] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "weights, scale",
+    [(np.ones((2, 2)), 1.0), (np.float64(1.0), 1.0), (np.ones(2), math.nan),
+     (np.ones(2), 0.0), (np.ones(2), -1.0), (np.ones(2), math.inf)],
+)
+def test_weight_vector_rejects_bad_shape_or_scale(weights, scale):
+    with pytest.raises(ValueError):
+        WeightVector(weights, scale)
+
+
 def test_log_weight_coloring_rejects_below_minus_one():
     wv = WeightVector(np.array([-1.5]), 1.0)
     with pytest.raises(NonRepresentable):

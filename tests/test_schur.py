@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from magmoments import (
     DatasetSpec,
+    DuplicatePoints,
     IndexSplit,
     OverlapAmbiguity,
     PointCloud,
+    WeightVector,
     build_similarity,
     generate,
     restricted_magnitude,
@@ -356,9 +358,16 @@ def test_union_rejects_wrong_size_weights():
         union_weights(x, z, wx, wx)
 
 
-def test_union_is_one_elimination(monkeypatch, cholesky_calls):
-    # One factor of the Y block and one of its |W| x |W| Schur complement;
-    # W's own weights are never solved for.
+def _dense_weights(points, t):
+    diff = points[:, None, :] - points[None, :, :]
+    zeta = np.exp(-t * np.sqrt((diff * diff).sum(axis=-1)))
+    return np.linalg.solve(zeta, np.ones(len(points)))
+
+
+def test_union_factors_only_the_new_points(monkeypatch, cholesky_calls):
+    # Weights from weights_at_scale hold no factor: zeta_X is factored, then
+    # bordered by Y \ X. A union fed the previous union's output factors
+    # only its own new points, and Y inside X factors nothing.
     from magmoments import magnitude, schur
 
     rng = np.random.default_rng(32)
@@ -373,9 +382,106 @@ def test_union_is_one_elimination(monkeypatch, cholesky_calls):
 
     monkeypatch.setattr(schur, "weights_at_scale", counted)
     cholesky_calls.clear()
-    union_weights(x, y, wx, wy)
-    assert cholesky_calls == [y.size, x.size - 2]
+    wz = union_weights(x, y, wx, wy)
+    assert cholesky_calls == [x.size, y.size - 2]
+    z = union_cloud(x, y)
+    y2 = PointCloud(np.vstack([rng.normal(size=(3, 2)) - 1.0, z.points[[0, 7, 10]]]))
+    wy2 = weights_at_scale(y2, 1.0)
+    cholesky_calls.clear()
+    wz2 = union_weights(z, y2, wz, wy2)
+    assert cholesky_calls == [3]
+    z2 = union_cloud(z, y2)
+    # Y inside X: X reordered, its factor kept for the next union.
+    y3 = z2.subset([4, 1, 13])
+    wy3 = weights_at_scale(y3, 1.0)
+    cholesky_calls.clear()
+    wz3 = union_weights(z2, y3, wz2, wy3)
+    z3 = union_cloud(z2, y3)
+    assert cholesky_calls == []
+    scale = np.abs(wz2.weights).max()
+    assert np.abs(wz3.weights - _dense_weights(z3.points, 1.0)).max() <= 1e-12 * scale
+    y4 = PointCloud(np.vstack([z3.points[[2]], rng.normal(size=(2, 2)) + 3.0]))
+    wy4 = weights_at_scale(y4, 1.0)
+    cholesky_calls.clear()
+    wz4 = union_weights(z3, y4, wz3, wy4)
+    assert cholesky_calls == [2]
+    z4 = union_cloud(z3, y4)
+    assert np.abs(wz4.weights - _dense_weights(z4.points, 1.0)).max() <= 1e-12 * scale
     assert solves == []
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_union_stream_matches_dense_solve(t):
+    # Nine chained unions, each chunk repeating points the stream holds.
+    rng = np.random.default_rng(40)
+    pts = generate(DatasetSpec("gaussian-blobs", 200, 3, 4)).points
+    perm = rng.permutation(len(pts))
+    x = PointCloud(pts[perm[:56]])
+    wx = weights_at_scale(x, t)
+    for chunk in np.array_split(perm[56:], 9):
+        repeats = rng.choice(x.size, 3, replace=False)
+        y = PointCloud(np.vstack([pts[chunk], x.points[repeats]]))
+        wx = union_weights(x, y, wx, weights_at_scale(y, t))
+        x = union_cloud(x, y)
+        direct = _dense_weights(x.points, t)
+        assert np.abs(wx.weights - direct).max() <= 1e-10 * np.abs(direct).max()
+    assert x.size == len(pts)
+
+
+@pytest.mark.parametrize("change", ["shifted", "permuted"])
+def test_held_factor_is_only_used_for_its_own_points(cholesky_calls, change):
+    rng = np.random.default_rng(41)
+    x = PointCloud(rng.normal(size=(30, 2)))
+    y = PointCloud(rng.normal(size=(6, 2)) + 2.0)
+    wz = union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 1.0))
+    z = union_cloud(x, y)
+    if change == "shifted":
+        points = z.points.copy()
+        points[3] += 0.25
+    else:
+        points = z.points[rng.permutation(z.size)]
+    other = PointCloud(points)
+    y2 = PointCloud(rng.normal(size=(4, 2)) - 2.0)
+    wy2 = weights_at_scale(y2, 1.0)
+    cholesky_calls.clear()
+    # The vector's weights belong to z, but only its size and scale are read.
+    wz2 = union_weights(other, y2, wz, wy2)
+    assert cholesky_calls == [z.size, y2.size]
+    direct = _dense_weights(union_cloud(other, y2).points, 1.0)
+    assert np.abs(wz2.weights - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_union_holds_one_factor_and_no_chain():
+    import gc
+    import tracemalloc
+    import weakref
+
+    rng = np.random.default_rng(42)
+    x = PointCloud(rng.normal(size=(260, 3)))
+    y = PointCloud(np.vstack([rng.normal(size=(20, 3)) + 1.0, x.points[:2]]))
+    wz = union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 1.0))
+    z = union_cloud(x, y)
+    y2 = PointCloud(np.vstack([rng.normal(size=(20, 3)) - 1.0, z.points[:2]]))
+    wy2 = weights_at_scale(y2, 1.0)
+    y2.distances
+    first = vars(wz)["_factor"][0]
+    tracemalloc.start()
+    try:
+        wz2 = union_weights(z, y2, wz, wy2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The factor lives in its own memory mapping, which tracemalloc does not
+    # see: the heap keeps no |Z| x |Z| array, during the union or after it.
+    grown = vars(wz2)["_factor"][0]
+    nbytes = 8 * (z.size + 20) ** 2
+    assert grown.shape == (z.size + 20,) * 2 and grown.nbytes == nbytes
+    assert held < 0.05 * nbytes and peak < 0.5 * nbytes
+    assert not np.shares_memory(grown, first)
+    first = weakref.ref(first)
+    del wz
+    gc.collect()
+    assert first() is None
 
 
 def test_union_distant_singletons():
@@ -429,6 +535,15 @@ def test_union_rejects_near_matches():
     y = PointCloud(np.array([[1.0 + 1e-14, 0.0]]))
     with pytest.raises(OverlapAmbiguity):
         union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 1.0))
+
+
+def test_union_rejects_a_repeated_point():
+    # Both copies are points of X, so nothing is factored; Y is still checked.
+    x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    y = PointCloud(x.points[[1, 1]])
+    wx = weights_at_scale(x, 1.0)
+    with pytest.raises(DuplicatePoints):
+        union_weights(x, y, wx, WeightVector(np.ones(2), 1.0))
 
 
 def test_union_requires_matching_scale():
