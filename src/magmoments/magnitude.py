@@ -148,33 +148,46 @@ def _residual(factored: np.ndarray, w: np.ndarray, ones: np.ndarray) -> np.ndarr
     return residual
 
 
+def _check_residual(residual: np.ndarray) -> None:
+    """Raise FactorizationFailure if |1 - zeta w|_inf exceeds RESIDUAL_BUDGET * N."""
+    largest, budget = np.abs(residual).max(), RESIDUAL_BUDGET * residual.size
+    if largest > budget:
+        raise FactorizationFailure(
+            f"solve residual {largest:.3e} exceeds budget {budget:.3e}")
+
+
+def _cholesky_solve(factored: np.ndarray) -> np.ndarray:
+    """w = zeta^{-1} 1 from ``factored``, laid out as ``_cholesky_lower`` leaves it.
+
+    One step of iterative refinement if the residual exceeds the budget;
+    a residual still over it raises FactorizationFailure.
+    """
+    from scipy.linalg.lapack import dpotrs
+
+    ones = np.ones(factored.shape[0])
+    w, _ = dpotrs(factored, ones, lower=1)
+    residual = _residual(factored, w, ones)
+    if np.abs(residual).max() > RESIDUAL_BUDGET * w.size:
+        w = w + dpotrs(factored, residual, lower=1)[0]
+        residual = _residual(factored, w, ones)
+    _check_residual(residual)
+    return w
+
+
 def _solve(a: np.ndarray, scale: float) -> WeightVector:
     """Solve zeta w = 1 for zeta = ``a``, a writable C-ordered array.
 
     A diagonally dominant zeta is solved by conjugate gradient; otherwise,
-    or if CG stalls, by Cholesky, factored in ``a``'s own memory, with one
-    step of iterative refinement if the residual exceeds the budget. On
-    either path a residual over budget is a hard error.
+    or if CG stalls, by Cholesky, factored in ``a``'s own memory
+    (``_cholesky_solve``). On either path a residual over budget is a hard
+    error.
     """
-    from scipy.linalg.lapack import dpotrs
-
-    n = a.shape[0]
-    ones = np.ones(n)
-    budget = RESIDUAL_BUDGET * n
+    ones = np.ones(a.shape[0])
     w = _conjugate_gradient(a, ones)
     if w is None:
-        factored = _cholesky_lower(a)
-        w, _ = dpotrs(factored, ones, lower=1)
-        residual = _residual(factored, w, ones)
-        if np.abs(residual).max() > budget:
-            w = w + dpotrs(factored, residual, lower=1)[0]
-            residual = _residual(factored, w, ones)
+        w = _cholesky_solve(_cholesky_lower(a))
     else:
-        residual = ones - a @ w
-    if np.abs(residual).max() > budget:
-        raise FactorizationFailure(
-            f"solve residual {np.abs(residual).max():.3e} exceeds budget {budget:.3e}"
-        )
+        _check_residual(ones - a @ w)
     return WeightVector(w, scale)
 
 

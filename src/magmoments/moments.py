@@ -143,6 +143,8 @@ class MomentVector:
 
     def __post_init__(self):
         mu0 = np.asarray(self.mu0, dtype=np.float64)
+        if mu0.ndim != 1:
+            raise ValueError(f"mu0 must be a 1-D array, not shape {mu0.shape}")
         if np.any(mu0 < 0) or not np.all(np.isfinite(mu0)):
             raise ValueError("moments must be finite and nonnegative")
         mu0.setflags(write=False)

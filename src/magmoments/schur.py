@@ -16,16 +16,18 @@ about N^3 flops) and kept on it, one N x N array. So a split costs a
 gather of B's |P|^2 entries and |P|^3 / 3 flops for B's Cholesky factor;
 S is formed only as schur_complement's return value.
 
-A union Z = X u Y grows zeta_X's lower Cholesky factor by the new
-points Y' = Y \\ X (block Cholesky; Golub & Van Loan, Matrix
-Computations, 4.2):
+A union Z = X u Y lists the points of X, then the new points Y' = Y \\ X;
+a point Y shares with X is X's, coordinates and all. zeta_X's lower
+Cholesky factor grows by Y' in that same row order (block Cholesky;
+Golub & Van Loan, Matrix Computations, 4.2):
 
     L_Z = [[L_X, 0], [C^T, L_S]],   C = L_X^{-1} A_{X,Y'},
     L_S L_S^T = A_{Y'} - C^T C,
 
-then solves zeta_Z w = 1 with L_Z. The weights it returns hold L_Z, so
-the next union of a stream borders it again: |X|^2 |Y'| + |Y'|^3 / 3
-flops a union, plus |X|^3 / 3 when zeta_X must first be factored.
+then zeta_Z w = 1 is solved with L_Z and its residual checked. Points,
+weights and factor rows share one order, so the weights hold L_Z as it
+is and the next union of a stream borders it again: |X|^2 |Y'| + |Y'|^3
+/ 3 flops a union, plus |X|^3 / 3 when zeta_X must first be factored.
 """
 
 from __future__ import annotations
@@ -46,20 +48,28 @@ from .geometry import (
 # build_similarity and weights_at_scale are unused here; perfbench/selfcheck.py
 # checks these import sites.
 from .geometry import build_similarity  # noqa: F401
-from .magnitude import WeightVector, _cholesky_lower, weights_at_scale  # noqa: F401
+from .magnitude import WeightVector, _cholesky_lower, _cholesky_solve
+from .magnitude import weights_at_scale  # noqa: F401
+
+
+def _index(i) -> int:
+    """int(i) for a Python or NumPy integer; int() would truncate 1.5, read True as 1."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"index {i!r} is not an integer")
+    return int(i)
 
 
 @dataclass(frozen=True)
 class IndexSplit:
-    """Partition of {0..N-1} into kept and removed index sets."""
+    """Partition of {0..N-1} into kept and removed integer index sets."""
 
     kept: tuple
     removed: tuple
     parent_size: int
 
     def __post_init__(self):
-        kept = tuple(sorted(int(i) for i in self.kept))
-        removed = tuple(sorted(int(i) for i in self.removed))
+        kept = tuple(sorted(_index(i) for i in self.kept))
+        removed = tuple(sorted(_index(i) for i in self.removed))
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "removed", removed)
         all_idx = set(kept) | set(removed)
@@ -192,51 +202,38 @@ def restriction_bounds(
 
 
 def _match(cloud_x: PointCloud, cloud_y: PointCloud):
-    """Y-to-X distances (|Y| x |X|), for each point of Y the index of the
-    point of X it is or -1, and the mask of W = X \\ Y on X.
+    """Y-to-X distances (|Y| x |X|) and the indices of Y' = Y \\ X, in Y order.
 
     A point of Y at distance 0 from a point of X is that point. One closer
     than DUPLICATE_TOL but not at distance 0 is ambiguous for the block
-    decomposition and raises OverlapAmbiguity.
+    decomposition and raises OverlapAmbiguity; Y's own duplicate check
+    runs first, so a repeated point of Y raises DuplicatePoints.
     """
     if cloud_x.dim != cloud_y.dim:
         raise ValueError("clouds must share dimension")
+    cloud_y.distances  # the duplicate check, kept on Y for union_weights
     dist = pairwise_distances(cloud_y, cloud_x)
-    nearest = dist.argmin(axis=1)
-    gaps = dist[np.arange(cloud_y.size), nearest]
+    gaps = dist.min(axis=1)
     ambiguous = np.flatnonzero((gaps > 0) & (gaps < DUPLICATE_TOL))
     if ambiguous.size:
         j = ambiguous[0]
         raise OverlapAmbiguity(
-            f"point {j} of Y is {gaps[j]:.3e} from point {nearest[j]} of X "
+            f"point {j} of Y is {gaps[j]:.3e} from point {dist[j].argmin()} of X "
             "but not exactly equal"
         )
-    keep_x = np.ones(cloud_x.size, bool)
-    keep_x[nearest[gaps == 0]] = False
-    return dist, np.where(gaps == 0, nearest, -1), keep_x
+    return dist, np.flatnonzero(gaps > 0)
 
 
 def union_cloud(cloud_x: PointCloud, cloud_y: PointCloud) -> PointCloud:
-    """Cloud on Z = X u Y: points of X \\ Y in X order, then Y in Y order.
+    """Cloud on Z = X u Y: the points of X in X order, then Y \\ X in Y order.
 
     Points are matched as in union_weights: a point of Y at distance 0
-    from a point of X is that point, and one nearer than DUPLICATE_TOL but
-    not at distance 0 raises OverlapAmbiguity.
+    from a point of X is that point, and keeps X's coordinates; one nearer
+    than DUPLICATE_TOL but not at distance 0 raises OverlapAmbiguity, and
+    a repeated point of Y raises DuplicatePoints.
     """
-    keep_x = _match(cloud_x, cloud_y)[2]
-    return PointCloud(np.vstack([cloud_x.points[keep_x], cloud_y.points]))
-
-
-def _hold(weights: WeightVector, lower, points, order) -> WeightVector:
-    """Keep a Cholesky factor of zeta on ``weights``, read-only.
-
-    Row i of ``lower`` is point ``order[i]`` of ``points``. The vector is
-    frozen; like the held inverse, the factor goes in its __dict__.
-    """
-    for array in (lower, points, order):
-        array.setflags(write=False)
-    vars(weights)["_factor"] = (lower, points, order)
-    return weights
+    new = _match(cloud_x, cloud_y)[1]
+    return PointCloud(np.vstack([cloud_x.points, cloud_y.points[new]]))
 
 
 def _mapped_square(n: int) -> np.ndarray:
@@ -261,20 +258,22 @@ def _mapped_square(n: int) -> np.ndarray:
 def _border(lower_x, dist_new_x, dist_new, scale):
     """L_Z = [[L_X, 0], [C^T, L_S]]: L_X bordered by the points Y'.
 
-    ``dist_new_x`` holds the Y'-to-X distances, X in L_X's row order, and
-    ``dist_new`` Y''s own; A = exp(-t d) is taken here. C = L_X^{-1}
-    A_{X,Y'} is one triangular solve (|X|^2 |Y'| flops) and L_S the
-    factor of A_{Y'} - C^T C (|Y'|^3 / 3 flops; PIVOT_FLOOR applies).
-    L_Z is a fresh Fortran-ordered array whose lower triangle is read.
+    ``dist_new_x`` holds the Y'-to-X distances and ``dist_new`` Y''s own;
+    A = exp(-t d) is taken here. C = L_X^{-1} A_{X,Y'} is one triangular
+    solve (|X|^2 |Y'| flops) and L_S the factor of A_{Y'} - C^T C (|Y'|^3
+    / 3 flops; PIVOT_FLOOR applies). L_Z is a fresh Fortran-ordered array
+    laid out as _cholesky_lower leaves one: zeta_Z stays above the diagonal.
     """
     from scipy.linalg.lapack import dtrtrs  # here: CLI start-up skips scipy
 
     nx, nz = lower_x.shape[0], lower_x.shape[0] + dist_new.shape[0]
-    c, _ = dtrtrs(lower_x, np.exp(-scale * dist_new_x).T, lower=1, overwrite_b=1)
     grown = _mapped_square(nz)
     grown[:nx, :nx] = lower_x
+    grown[:nx, nx:] = np.exp(-scale * dist_new_x).T
+    c, _ = dtrtrs(lower_x, grown[:nx, nx:], lower=1)
     grown[nx:, :nx] = c.T
-    grown[nx:, nx:] = _cholesky_lower(np.exp(-scale * dist_new) - c.T @ c)
+    a_new = np.exp(-scale * dist_new)
+    grown[nx:, nx:] = np.triu(a_new, 1) + np.tril(_cholesky_lower(a_new - c.T @ c))
     return grown
 
 
@@ -286,58 +285,39 @@ def union_weights(
 ) -> WeightVector:
     """Weight vector on Z = X u Y from zeta_X's Cholesky factor, bordered.
 
-    Output ordering matches union_cloud: W = X \\ Y first (X order), then
-    Y (Y order). L_X is the factor weights_x holds if it was built for
-    exactly cloud_x's points, as a vector this function returns is;
-    otherwise zeta_X is factored afresh, |X|^3 / 3 flops. L_X is bordered
-    by Y' = Y \\ X, |X|^2 |Y'| + |Y'|^3 / 3 flops, and zeta_Z w = 1 is
-    solved with the grown factor. A_{X,Y'} and A_{Y'} come from the Y-to-X
-    distances that match the clouds and from cloud_y's own distances; no
-    |Z| x |Z| distance or similarity matrix is built.
+    Output ordering matches union_cloud and the grown factor's rows: X,
+    then Y' = Y \\ X in Y order. L_X is the factor weights_x holds if it
+    was built for exactly cloud_x's points, as a vector this function
+    returns is; otherwise zeta_X is factored afresh, |X|^3 / 3 flops. L_X
+    is bordered by Y', |X|^2 |Y'| + |Y'|^3 / 3 flops, and zeta_Z w = 1 is
+    solved with the grown factor and checked as a weight solve is. A_{X,Y'}
+    and A_{Y'} come from the Y-to-X distances that match the clouds and
+    from cloud_y's own; no |Z| x |Z| distance or similarity matrix is built.
 
     The result holds the grown factor, 8 |Z|^2 bytes, read-only, and no
     reference to weights_x's. The weights themselves are not read: of
     weights_x and weights_y only the scale, the sizes and weights_x's
-    factor are, except that X inside Y returns weights_y, and Y inside X
-    returns weights_x reordered, sharing its factor. Neither factors.
+    factor are. Y inside X returns weights_x itself, whose factor, if
+    any, stays valid since Z is X.
     """
     if weights_x.scale != weights_y.scale:
         raise ValueError("weight vectors must share the same scale t")
     _check_size(weights_x, cloud_x.size, "weights_x")
     _check_size(weights_y, cloud_y.size, "weights_y")
     t = weights_x.scale
-    dist, matched, keep_x = _match(cloud_x, cloud_y)
-    nw = int(keep_x.sum())
-    if not nw:
-        return weights_y
-    shared = matched >= 0
-    new = np.flatnonzero(~shared)  # Y' = Y \\ X, in Y order
-    # Where each point of X sits in Z.
-    z_of_x = np.empty(cloud_x.size, np.intp)
-    z_of_x[keep_x] = np.arange(nw)
-    z_of_x[matched[shared]] = nw + np.flatnonzero(shared)
-    points_z = np.vstack([cloud_x.points[keep_x], cloud_y.points])
-    dist_y = cloud_y.distances  # raises DuplicatePoints, as Z's would
-    held = vars(weights_x).get("_factor")
-    if held is not None and not np.array_equal(held[1], cloud_x.points):
-        held = None
+    dist, new = _match(cloud_x, cloud_y)
     if not new.size:
-        w_z = np.empty(points_z.shape[0])
-        w_z[z_of_x] = weights_x.weights
-        out = WeightVector(w_z, t)
-        return out if held is None else _hold(out, held[0], points_z, z_of_x[held[2]])
-    from scipy.linalg.lapack import dpotrs  # here: CLI start-up skips scipy
-
-    if held is None:
-        lower_x = _cholesky_lower(_similarity_entries(cloud_x, t))
-        order_x = np.arange(cloud_x.size)
+        return weights_x
+    held = vars(weights_x).get("_factor")
+    if held is not None and np.array_equal(held[1], cloud_x.points):
+        lower_x = held[0]
     else:
-        lower_x, _, order_x = held
-    lower_z = _border(
-        lower_x, dist[new[:, None], order_x], dist_y[np.ix_(new, new)], t
-    )
-    order_z = np.concatenate([z_of_x[order_x], nw + new])
-    solved, _ = dpotrs(lower_z, np.ones(len(order_z)), lower=1)
-    w_z = np.empty(len(order_z))
-    w_z[order_z] = solved
-    return _hold(WeightVector(w_z, t), lower_z, points_z, order_z)
+        lower_x = _cholesky_lower(_similarity_entries(cloud_x, t))
+    lower_z = _border(lower_x, dist[new], cloud_y.distances[np.ix_(new, new)], t)
+    out = WeightVector(_cholesky_solve(lower_z), t)
+    points_z = np.vstack([cloud_x.points, cloud_y.points[new]])
+    for array in (lower_z, points_z):
+        array.setflags(write=False)
+    # The vector is frozen; like the held inverse, the factor goes in its __dict__.
+    vars(out)["_factor"] = (lower_z, points_z)
+    return out

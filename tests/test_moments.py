@@ -438,6 +438,12 @@ def test_moments_nonnegative_and_finite():
     assert np.all(np.isfinite(mv.mu0))
 
 
+@pytest.mark.parametrize("mu0", [np.ones((2, 3)), np.float64(1.0), [-1.0], [np.nan]])
+def test_moment_vector_rejects_bad_shape_or_values(mu0):
+    with pytest.raises(ValueError):
+        MomentVector(mu0, 0.0)
+
+
 def test_annulus_boundary_outranks_interior():
     # Outer-edge points of an annulus carry larger mean moment than the
     # rest; sign test over 20 independent samples.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from magmoments import (
     DatasetSpec,
     DuplicatePoints,
+    FactorizationFailure,
     IndexSplit,
     OverlapAmbiguity,
     PointCloud,
@@ -335,14 +336,17 @@ def test_union_subset_returns_given_weights():
     y = x.subset([1, 4, 6])
     wx = weights_at_scale(x, 1.0)
     wy = weights_at_scale(y, 1.0)
-    # With Y in X, Z is X reordered: X \ Y first, then Y.
-    direct = weights_at_scale(union_cloud(x, y), 1.0)
-    wz = union_weights(x, y, wx, wy)
+    # With Y in X, Z is X in X order, with X's weights.
+    assert np.array_equal(union_cloud(x, y).points, x.points)
+    assert union_weights(x, y, wx, wy) is wx
+    # With the roles swapped, X in Y: Z is Y, then X \ Y in X order, and
+    # Y's factor is bordered by X \ Y.
+    z = union_cloud(y, x)
+    assert np.array_equal(z.points, x.points[[1, 4, 6, 0, 2, 3, 5, 7]])
+    direct = weights_at_scale(z, 1.0)
+    wz = union_weights(y, x, wy, wx)
     assert np.abs(wz.weights - direct.weights).max() < 1e-12
     assert wz.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
-    # With the roles swapped, X in Y: Z is Y in Y order, with Y's weights.
-    assert np.array_equal(union_cloud(y, x).points, x.points)
-    assert union_weights(y, x, wy, wx) is wx
 
 
 def test_union_rejects_wrong_size_weights():
@@ -356,6 +360,15 @@ def test_union_rejects_wrong_size_weights():
     z = PointCloud(rng.normal(size=(4, 2)) + 3.0)
     with pytest.raises(ValueError, match="weights_y has 8 entries for 4 points"):
         union_weights(x, z, wx, wx)
+
+
+@pytest.mark.parametrize(
+    "kept, removed",
+    [((0, 1.5), (2,)), ((0, 1.0), (2,)), ((True, False), (2,)), ((0, 1), (np.bool_(True),))],
+)
+def test_index_split_rejects_non_integer_indices(kept, removed):
+    with pytest.raises(ValueError, match="not an integer"):
+        IndexSplit(kept, removed, 3)
 
 
 def _dense_weights(points, t):
@@ -391,13 +404,14 @@ def test_union_factors_only_the_new_points(monkeypatch, cholesky_calls):
     wz2 = union_weights(z, y2, wz, wy2)
     assert cholesky_calls == [3]
     z2 = union_cloud(z, y2)
-    # Y inside X: X reordered, its factor kept for the next union.
+    # Y inside X: Z is X, and X's weights, factor and all, are returned.
     y3 = z2.subset([4, 1, 13])
     wy3 = weights_at_scale(y3, 1.0)
     cholesky_calls.clear()
     wz3 = union_weights(z2, y3, wz2, wy3)
     z3 = union_cloud(z2, y3)
-    assert cholesky_calls == []
+    assert cholesky_calls == [] and wz3 is wz2
+    assert np.array_equal(z3.points, z2.points)
     scale = np.abs(wz2.weights).max()
     assert np.abs(wz3.weights - _dense_weights(z3.points, 1.0)).max() <= 1e-12 * scale
     y4 = PointCloud(np.vstack([z3.points[[2]], rng.normal(size=(2, 2)) + 3.0]))
@@ -514,20 +528,21 @@ def test_union_matches_signed_zeros_by_value():
     x = PointCloud(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]))
     y = PointCloud(np.array([[-0.0, 1.0], [2.0, -0.0], [-1.0, -2.0]]))
     z = union_cloud(x, y)
-    assert z.size == 4
-    assert np.array_equal(z.points[:1], x.points[2:])
-    assert np.array_equal(z.points[1:], y.points)
+    # X, then Y's one new point; the shared points keep X's +0.0.
+    assert np.array_equal(z.points, np.vstack([x.points, y.points[2:]]))
+    assert not np.signbit(z.points[:3]).any()
     wz = union_weights(x, y, weights_at_scale(x, 1.0), weights_at_scale(y, 1.0))
     direct = weights_at_scale(z, 1.0)
     assert np.abs(wz.weights - direct.weights).max() < 1e-8
 
 
 def test_union_merges_points_at_distance_zero():
-    # The one distance rule: differences whose squares underflow read 0.
+    # The one distance rule: differences whose squares underflow read 0, and
+    # the merged point keeps X's coordinates.
     x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     y = PointCloud(np.array([[1e-200, 0.0], [3.0, 0.0]]))
     z = union_cloud(x, y)
-    assert np.array_equal(z.points, [[1.0, 0.0], [1e-200, 0.0], [3.0, 0.0]])
+    assert np.array_equal(z.points, [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
 
 
 def test_union_rejects_near_matches():
@@ -544,6 +559,28 @@ def test_union_rejects_a_repeated_point():
     wx = weights_at_scale(x, 1.0)
     with pytest.raises(DuplicatePoints):
         union_weights(x, y, wx, WeightVector(np.ones(2), 1.0))
+
+
+def test_union_rejects_a_repeated_new_point():
+    # The repeated point is not in X; the union cloud would hold it twice.
+    x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    y = PointCloud(np.array([[3.0, 0.0], [3.0, 0.0]]))
+    with pytest.raises(DuplicatePoints):
+        union_cloud(x, y)
+    with pytest.raises(DuplicatePoints):
+        union_weights(x, y, weights_at_scale(x, 1.0), WeightVector(np.ones(2), 1.0))
+
+
+def test_union_checks_its_residual(monkeypatch):
+    from magmoments import magnitude
+
+    rng = np.random.default_rng(43)
+    x = PointCloud(rng.normal(size=(12, 2)))
+    y = PointCloud(np.vstack([x.points[:2], rng.normal(size=(4, 2)) + 1.0]))
+    wx, wy = weights_at_scale(x, 1.0), weights_at_scale(y, 1.0)
+    monkeypatch.setattr(magnitude, "RESIDUAL_BUDGET", 0.0)
+    with pytest.raises(FactorizationFailure, match="exceeds budget"):
+        union_weights(x, y, wx, wy)
 
 
 def test_union_requires_matching_scale():
