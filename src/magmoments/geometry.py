@@ -168,10 +168,30 @@ def pairwise_distances(
     ch. 3), and the square root halves that and adds u. It is 0 exactly
     where each coordinate difference squares to 0: equal coordinates (-0.0
     equals +0.0) or differences below about 1e-162.
-    """
-    from scipy.spatial.distance import cdist  # here: CLI start-up skips scipy
 
-    dist = cdist(cloud.points, (cloud if other is None else other).points)
+    The squared differences are added in coordinate order, starting from
+    the first one's square, then the root is taken: the operations, in
+    order, of scipy.spatial's Euclidean distances, so the bits are the
+    same, and scipy is not loaded. Rows go 64 at a time through one
+    64 x M buffer; no other N x M array is made. A sum that overflows is
+    inf, raised as NonFinite below, with no warning.
+    """
+    xt = cloud.points.T.copy()
+    yt = xt if other is None else other.points.T.copy()
+    if len(yt) != len(xt):
+        raise ValueError("clouds must share dimension")
+    dist = np.empty((xt.shape[1], yt.shape[1]))
+    buffer = np.empty((min(64, len(dist)), yt.shape[1]))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(dist), 64):
+            rows = dist[lo:lo + 64]
+            diff = buffer[: len(rows)]
+            np.subtract.outer(xt[0, lo:lo + 64], yt[0], out=diff)
+            np.square(diff, out=rows)
+            for c in range(1, len(xt)):
+                np.subtract.outer(xt[c, lo:lo + 64], yt[c], out=diff)
+                rows += np.square(diff, out=diff)
+        np.sqrt(dist, out=dist)
     if not np.all(np.isfinite(dist)):
         raise NonFinite("non-finite pairwise distance")
     return dist

@@ -170,6 +170,8 @@ def _node_sums(
     acc = np.zeros(n if power == 2 else 1)
     attempt = TAIL_CUT_START
     workers = worker_count(rule.order) if n >= POOL_FLOOR else 1
+    if workers > 1:
+        import scipy.linalg  # noqa: F401  (workers inherit it, as in experiments)
 
     def solve(t):  # the cloud, with its distances, reaches workers by fork
         return weights_at_scale(cloud, t).weights

@@ -2,6 +2,7 @@ import errno
 import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,39 @@ def test_distances_match_double_loop():
     got = pairwise_distances(PointCloud(pts))
     want = oracles.double_loop_distances(pts)
     assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_distances_equal_cdist_bit_for_bit(seed):
+    # d = 1-8 and coordinates from 1e-160 to 1e150; Y shares points with X.
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(seed)
+    for d in range(1, 9):
+        x = rng.normal(size=(int(rng.integers(1, 140)), d))
+        x *= 10.0 ** rng.uniform(-160, 150)
+        y = rng.normal(size=(int(rng.integers(1, 90)), d)) * 10.0 ** rng.uniform(-160, 150)
+        y = np.vstack([y, x[rng.integers(0, len(x), size=5)]])
+        cx, cy = PointCloud(x), PointCloud(y)
+        assert np.array_equal(pairwise_distances(cx), cdist(x, x))
+        assert np.array_equal(pairwise_distances(cy, cx), cdist(y, x))
+
+
+def test_overflowing_distance_raises_nonfinite_without_a_warning():
+    cloud = PointCloud(np.array([[1e308, 0.0], [-1e308, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            pairwise_distances(cloud)
+        with pytest.raises(NonFinite):
+            cloud.distances
+        with pytest.raises(NonFinite):
+            pairwise_distances(PointCloud(np.array([[1e154, 1e154]])), cloud)
+
+
+def test_distances_between_clouds_need_one_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        pairwise_distances(PointCloud(np.zeros((2, 2))), PointCloud(np.ones((3, 3))))
 
 
 def test_two_points_at_ln2():

@@ -498,6 +498,36 @@ def test_union_holds_one_factor_and_no_chain():
     assert first() is None
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_union_then_restriction_gives_back_x_y_and_their_intersection(t):
+    # The two Schur routes, round trip: Z = X u Y from union_weights, then
+    # restricted_magnitude on zeta_Z removes Y \ X, X \ Y or both, giving
+    # |X|, |Y| and |X n Y|, the four magnitudes of the inclusion-exclusion
+    # principle. Z lists X, then Y \ X in Y order.
+    base = generate(DatasetSpec("gaussian-blobs", 90, 3, seed=38))
+    order = np.random.default_rng(39).permutation(base.size)
+    ix, iy = list(order[:60]), list(order[30:])
+    iy = iy[20:] + iy[:20]  # shared points spread through Y's order
+    x, y = base.subset(ix), base.subset(iy)
+    wz = union_weights(x, y, weights_at_scale(x, t), weights_at_scale(y, t))
+    z = union_cloud(x, y)
+    sx, sy = set(ix), set(iy)
+    iz = ix + [i for i in iy if i not in sx]
+    assert np.array_equal(z.points, base.points[iz])
+    sim = build_similarity(z, t)
+    only_x = [k for k, i in enumerate(iz) if i not in sy]
+    only_y = [k for k, i in enumerate(iz) if i not in sx]
+    for removed, kept in [
+        (only_y, ix),
+        (only_x, iy),
+        (only_x + only_y, [i for i in ix if i in sy]),
+    ]:
+        split = IndexSplit(sorted(set(range(z.size)) - set(removed)), removed, z.size)
+        restricted = restricted_magnitude(wz, sim, split)
+        direct = weights_at_scale(base.subset(kept), t).magnitude
+        assert abs(restricted - direct) <= 1e-10 * abs(direct)
+
+
 def test_union_distant_singletons():
     x = PointCloud(np.array([[0.0, 0.0]]))
     y = PointCloud(np.array([[50.0, 0.0]]))

@@ -1,5 +1,7 @@
-"""scipy is imported where it is used: start-up and store-hit ``curves`` run
-without it, and a trial pool imports it once, before it forks."""
+"""scipy is imported where it is used: start-up, ``datagen`` and store-hit
+``curves`` run without it, paths that build no hull without
+``scipy.spatial``, and a trial or node pool imports what its workers use
+once, before it forks."""
 
 import json
 import os
@@ -60,6 +62,53 @@ def test_a_compute_command_imports_scipy_when_it_runs(tmp_path):
     volume, loaded = fresh(code, tmp_path).splitlines()
     assert volume.startswith("volume ") and "scipy.spatial" in json.loads(loaded)
     assert json.loads((tmp_path / "hull.json").read_text())["vertexCount"] > 3
+
+
+def test_datagen_loads_no_scipy(tmp_path):
+    args = ["datagen", "--kind", "annulus", "--n", "200", "--seed", "0", "--out", "pts.csv"]
+    assert json.loads(fresh(cli_main(*args) + SCIPY_LOADED, tmp_path)) == []
+    assert len((tmp_path / "pts.csv").read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", "--input", "pts.csv", "--order", "8", "--out", "out.csv"],
+    ["weights", "--input", "pts.csv", "--t", "1", "--out", "out.csv"],
+    ["magfn", "--input", "pts.csv", "--scales", "0.5,1,2", "--out", "out.csv"],
+])
+def test_paths_without_a_hull_load_no_scipy_spatial(tmp_path, args):
+    pts = np.random.default_rng(4).normal(size=(30, 3))
+    np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")
+    loaded = json.loads(fresh(cli_main(*args) + SCIPY_LOADED, tmp_path).splitlines()[-1])
+    assert "scipy.linalg" in loaded and "scipy.spatial" not in loaded
+    assert (tmp_path / "out.csv").exists()
+
+
+# A node pool of two workers on a 40-point cloud (the pool floor lowered,
+# cores and BLAS threads as in TABLE1 below): scipy.linalg must be loaded
+# when the pool starts, so the workers inherit it.
+NODE_POOL = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from magmoments import moments
+from magmoments.geometry import PointCloud
+real = moments.ordered_map
+def ordered_map(func, items, workers):
+    assert workers == 2, workers
+    assert "scipy.linalg" in sys.modules, "scipy.linalg not loaded before the fork"
+    return real(func, items, workers)
+moments.ordered_map = ordered_map
+moments.POOL_FLOOR = 40
+cloud = PointCloud(np.random.default_rng(5).normal(size=(40, 2)))
+rule = moments.log_trapezoid_rule(8, 0.1, 30.0)  # Gauss-Laguerre's roots load scipy.linalg
+assert "scipy" not in sys.modules
+mu0 = moments.zeroth_moments(cloud, rule, estimate_error=False).mu0
+print(len(mu0))
+"""
+
+
+def test_a_node_pool_imports_scipy_linalg_before_it_forks(tmp_path):
+    assert fresh(NODE_POOL, tmp_path, OPENBLAS_NUM_THREADS="1") == "40"
 
 
 # Two cores, BLAS threads that leave ``workers`` of them free (as the
